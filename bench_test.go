@@ -15,6 +15,7 @@ import (
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/exp"
+	"flexsfp/internal/exp/paper"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
@@ -27,7 +28,7 @@ import (
 // case study onto the MPF200T.
 func BenchmarkTable1NATSynthesis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := Table1()
+		r := paper.Table1()
 		if r.Used.LSRAM != 164 {
 			b.Fatal("Table 1 diverged")
 		}
@@ -38,7 +39,7 @@ func BenchmarkTable1NATSynthesis(b *testing.B) {
 // designs and fit-checking them against the MPF200T.
 func BenchmarkTable2FitCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := Table2()
+		r := paper.Table2()
 		if len(r.Rows) != 4 {
 			b.Fatal("Table 2 diverged")
 		}
@@ -48,7 +49,7 @@ func BenchmarkTable2FitCheck(b *testing.B) {
 // BenchmarkTable3CostPower regenerates Table 3: ideal-scaled cost/power.
 func BenchmarkTable3CostPower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := Table3()
+		r := paper.Table3()
 		if r.Claims.CAPEXSavingVsDPU < 0.5 {
 			b.Fatal("Table 3 diverged")
 		}
@@ -59,7 +60,7 @@ func BenchmarkTable3CostPower(b *testing.B) {
 // (bidirectional line-rate stress + three-step measurement).
 func BenchmarkPowerMeasurement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := PowerExperiment(int64(i + 1))
+		r, err := paper.PowerExperiment(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func BenchmarkPowerMeasurement(b *testing.B) {
 // all frame sizes.
 func BenchmarkNATLineRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := LineRateExperiment(int64(i + 1))
+		r, err := paper.LineRateExperiment(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func BenchmarkNATLineRateTelemetry(b *testing.B) {
 // comparison under bidirectional load.
 func BenchmarkArchitectures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ArchitectureExperiment(int64(i + 1))
+		r, err := paper.ArchitectureExperiment(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func BenchmarkArchitectures(b *testing.B) {
 // BenchmarkScalability regenerates the §5.3 width×clock sweep.
 func BenchmarkScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := ScalabilityExperiment()
+		r := paper.ScalabilityExperiment(1)
 		if len(r.Points) != 12 {
 			b.Fatal("scalability sweep diverged")
 		}
@@ -136,7 +137,7 @@ func BenchmarkScalability(b *testing.B) {
 // micro-task comparison.
 func BenchmarkAccelerationGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := AccelerationGapExperiment(int64(i + 1))
+		r, err := paper.AccelerationGapExperiment(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func BenchmarkAccelerationGap(b *testing.B) {
 // BenchmarkReliability regenerates the §5.3 VCSEL fleet simulation.
 func BenchmarkReliability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := ReliabilityExperiment(int64(i + 1))
+		r := paper.ReliabilityExperiment(int64(i + 1))
 		if r.Report.Failures == 0 {
 			b.Fatal("reliability experiment diverged")
 		}
@@ -159,7 +160,7 @@ func BenchmarkReliability(b *testing.B) {
 // BenchmarkFormFactorScaling regenerates the §6 form-factor sweep.
 func BenchmarkFormFactorScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := FormFactorExperiment()
+		r := paper.FormFactorExperiment(1)
 		if len(r.Plans) != 12 {
 			b.Fatal("form-factor sweep diverged")
 		}
@@ -392,7 +393,7 @@ func BenchmarkChecksum(b *testing.B) {
 // BenchmarkLatencyOverhead regenerates the §6 latency-overhead sweep.
 func BenchmarkLatencyOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := LatencyOverheadExperiment()
+		r, err := paper.LatencyOverheadExperiment()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -433,7 +434,7 @@ func BenchmarkAblationINTOverhead(b *testing.B) {
 // BenchmarkRetrofitEconomics regenerates the §2.1 upgrade comparison.
 func BenchmarkRetrofitEconomics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RetrofitEconomicsExperiment()
+		r, err := paper.RetrofitEconomicsExperiment()
 		if err != nil {
 			b.Fatal(err)
 		}

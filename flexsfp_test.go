@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flexsfp/internal/apps"
+	"flexsfp/internal/exp/paper"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
@@ -65,7 +66,7 @@ func TestBuildModuleErrors(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	r := Table1()
+	r := paper.Table1()
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -91,7 +92,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	r := Table2()
+	r := paper.Table2()
 	fits := map[string]bool{}
 	for _, row := range r.Rows {
 		fits[row.Name] = row.Fits
@@ -113,7 +114,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	r := Table3()
+	r := paper.Table3()
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -129,7 +130,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestPowerExperimentMatchesPaper(t *testing.T) {
-	r, err := PowerExperiment(7)
+	r, err := paper.PowerExperiment(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestPowerExperimentMatchesPaper(t *testing.T) {
 }
 
 func TestLineRateExperimentAllSizes(t *testing.T) {
-	r, err := LineRateExperiment(3)
+	r, err := paper.LineRateExperiment(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +179,18 @@ func TestLineRateExperimentAllSizes(t *testing.T) {
 }
 
 func TestArchitectureExperimentShape(t *testing.T) {
-	r, err := ArchitectureExperiment(5)
+	r, err := paper.ArchitectureExperiment(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := func(shell hls.Shell, clock float64, bidir bool) ArchPoint {
+	byKey := func(shell hls.Shell, clock float64, bidir bool) paper.ArchPoint {
 		for _, p := range r.Points {
 			if p.Shell == shell && p.ClockMHz == clock && p.Bidirectional == bidir {
 				return p
 			}
 		}
 		t.Fatalf("missing point %v/%v/%v", shell, clock, bidir)
-		return ArchPoint{}
+		return paper.ArchPoint{}
 	}
 	// One-way traffic at base clock: full delivery, both shells.
 	if p := byKey(hls.OneWayFilter, 156.25, false); p.DeliveredFrac < 0.995 {
@@ -224,18 +225,18 @@ func TestArchitectureExperimentShape(t *testing.T) {
 }
 
 func TestScalabilityExperimentShape(t *testing.T) {
-	r := ScalabilityExperiment()
+	r := paper.ScalabilityExperiment(1)
 	if len(r.Points) != 12 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
-	find := func(w int, mhz float64) ScalePoint {
+	find := func(w int, mhz float64) paper.ScalePoint {
 		for _, p := range r.Points {
 			if p.DatapathBits == w && p.ClockMHz == mhz {
 				return p
 			}
 		}
 		t.Fatalf("missing %d/%v", w, mhz)
-		return ScalePoint{}
+		return paper.ScalePoint{}
 	}
 	// The prototype point sustains 10G inside the envelope; the smallest
 	// fitting part is at or below the prototype's MPF200T (headroom).
@@ -262,14 +263,14 @@ func TestScalabilityExperimentShape(t *testing.T) {
 }
 
 func TestAccelerationGapShape(t *testing.T) {
-	r, err := AccelerationGapExperiment(9)
+	r, err := paper.AccelerationGapExperiment(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
-	var host, nic, flex GapPoint
+	var host, nic, flex paper.GapPoint
 	for _, p := range r.Points {
 		switch p.Path {
 		case "host-cpu":
@@ -306,7 +307,7 @@ func TestAccelerationGapShape(t *testing.T) {
 }
 
 func TestReliabilityExperiment(t *testing.T) {
-	r := ReliabilityExperiment(11)
+	r := paper.ReliabilityExperiment(11)
 	if r.Report.Failures == 0 {
 		t.Fatal("no failures in 10-year horizon")
 	}
@@ -322,10 +323,10 @@ func TestReliabilityExperiment(t *testing.T) {
 }
 
 func TestAllRendersNonEmpty(t *testing.T) {
-	if Table1().Render() == "" || Table2().Render() == "" || Table3().Render() == "" {
+	if paper.Table1().Render() == "" || paper.Table2().Render() == "" || paper.Table3().Render() == "" {
 		t.Error("empty render")
 	}
-	s := ScalabilityExperiment().Render()
+	s := paper.ScalabilityExperiment(1).Render()
 	if !strings.Contains(s, "512b") {
 		t.Error("scalability render missing width rows")
 	}
@@ -336,7 +337,7 @@ func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 var _ = netsim.Second // imported for duration literals in future tests
 
 func TestLatencyOverheadExperiment(t *testing.T) {
-	r, err := LatencyOverheadExperiment()
+	r, err := paper.LatencyOverheadExperiment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,14 +359,14 @@ func TestLatencyOverheadExperiment(t *testing.T) {
 }
 
 func TestRetrofitEconomicsExperiment(t *testing.T) {
-	r, err := RetrofitEconomicsExperiment()
+	r, err := paper.RetrofitEconomicsExperiment()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.SpotCheckEnforced {
 		t.Error("retrofitted switch did not enforce per-port policy")
 	}
-	var flex, nic RetrofitOption
+	var flex, nic paper.RetrofitOption
 	for _, o := range r.Options {
 		switch o.Name {
 		case "FlexSFP per port":

@@ -12,6 +12,7 @@ import (
 	"flexsfp/internal/apps"
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/core"
+	"flexsfp/internal/exp/paper"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/mgmt"
 	"flexsfp/internal/netsim"
@@ -449,7 +450,7 @@ func TestVerdictNameStrings(t *testing.T) {
 	}
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], 1)
-	if !strings.Contains(FormFactorExperiment().Render(), "QSFP") {
+	if !strings.Contains(paper.FormFactorExperiment(1).Render(), "QSFP") {
 		t.Error("form-factor render missing modules")
 	}
 }

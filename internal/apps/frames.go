@@ -35,16 +35,18 @@ func newFrameRing() *frameRing {
 	return r
 }
 
-// take returns the next cell, sized to n. Oversized requests regrow the
-// cell once and keep it (no steady-state cost unless frames exceed the
-// cell class, which standard Ethernet + 50B encap never does).
-func (r *frameRing) take(n int) []byte {
+// copyIn copies b into the next cell and returns the cell. Oversized
+// frames regrow the cell once and keep it (no steady-state cost unless
+// frames exceed the cell class, which standard Ethernet + 50B encap never
+// does).
+func (r *frameRing) copyIn(b []byte) []byte {
 	s := r.slots[r.next]
-	if cap(s) < n {
-		s = make([]byte, 0, n)
+	if cap(s) < len(b) {
+		s = make([]byte, 0, len(b))
 		r.slots[r.next] = s
 	}
-	out := s[:n]
+	out := s[:len(b)]
+	copy(out, b)
 	r.next++
 	if r.next == len(r.slots) {
 		r.next = 0

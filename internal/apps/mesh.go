@@ -10,14 +10,16 @@ import (
 	"flexsfp/internal/ppe"
 )
 
-// The mesh app is the tunnel app generalized to many remotes: the overlay
+// The mesh app is an overlay endpoint with many remotes: the overlay
 // control plane (internal/overlay) programs a prefix→peer route table and
 // a peer→encap-state table, and the datapath maps each edge frame's
-// destination /24 to a per-peer GRE or VXLAN wrap. The return path decaps
-// traffic addressed to this cable's own endpoint. A peer withdrawn by the
-// rendezvous plane disappears from mesh_peers, and any route still naming
-// it fails closed (MeshNoPeer drop) — the datapath half of the "no frame
-// delivered to a withdrawn peer" invariant.
+// destination /24 to a per-peer GRE or VXLAN wrap built by the shared
+// overlay codec (encap.go). The return path decaps traffic addressed to
+// this cable's own endpoint with the codec's classifier, exactly as the
+// tunnel app does. A peer withdrawn by the rendezvous plane disappears
+// from mesh_peers, and any route still naming it fails closed (MeshNoPeer
+// drop) — the datapath half of the "no frame delivered to a withdrawn
+// peer" invariant.
 
 // Mesh table names (mgmt-visible).
 const (
@@ -123,20 +125,6 @@ const (
 	meshCounters
 )
 
-// meshEnc is the cached per-peer serialization state, rebuilt from the
-// mesh_peers table whenever its generation moves. The expensive pieces
-// (layer structs, the UDP pseudo-header binding, the stack slice) are
-// built here at control-plane rate so the per-frame path is alloc-free.
-type meshEnc struct {
-	mode  uint8
-	eth   packet.Ethernet
-	ip    packet.IPv4
-	gre   packet.GRE
-	udp   packet.UDP
-	vx    packet.VXLAN
-	stack []packet.SerializableLayer
-}
-
 type meshApp struct {
 	prog   *ppe.Program
 	state  *ppe.State
@@ -144,22 +132,21 @@ type meshApp struct {
 	peers  *ppe.Table
 	ctr    *ppe.CounterBank
 
-	mode     string
+	rx       decapEndpoint
 	local    netip.Addr
-	local4   [4]byte
 	localMAC packet.MAC
-	vni      uint32
-	greKey   uint32
 	ttl      uint8
 	mtu      int
 
 	buf      *packet.SerializeBuffer
 	v        packet.View
 	ring     *frameRing
-	payload  packet.Payload
 	routeKey [4]byte
 
-	cache    map[uint16]*meshEnc
+	// cache holds the per-peer encap stacks, rebuilt from mesh_peers
+	// whenever its generation moves (control-plane rate, never per
+	// frame).
+	cache    map[uint16]*encapStack
 	cacheGen uint64
 }
 
@@ -218,8 +205,8 @@ func (a *meshApp) Configure(config []byte) error {
 	if err != nil {
 		return fmt.Errorf("mesh local MAC: %w", err)
 	}
-	a.mode, a.local, a.local4, a.localMAC = cfg.Mode, local, local.As4(), lmac
-	a.vni, a.greKey = cfg.VNI, cfg.GREKey
+	a.rx = decapEndpoint{mode: cfg.Mode, local4: local.As4(), vni: cfg.VNI, greKey: cfg.GREKey}
+	a.local, a.localMAC = local, lmac
 	a.ttl = cfg.TTL
 	if a.ttl == 0 {
 		a.ttl = 64
@@ -233,8 +220,6 @@ func (a *meshApp) Configure(config []byte) error {
 	}
 	// Build the (empty) cache eagerly so the first frame is already on
 	// the steady-state path.
-	a.cache = map[uint16]*meshEnc{}
-	a.cacheGen = a.peers.Generation()
 	a.rebuildCache()
 	return nil
 }
@@ -245,7 +230,7 @@ func (a *meshApp) Configure(config []byte) error {
 // table write at worst forces one extra rebuild, never a stale cache.
 func (a *meshApp) rebuildCache() {
 	gen := a.peers.Generation()
-	cache := make(map[uint16]*meshEnc, a.peers.Len())
+	cache := make(map[uint16]*encapStack, a.peers.Len())
 	for _, e := range a.peers.Snapshot() {
 		if len(e.Key) != 2 {
 			continue
@@ -264,36 +249,21 @@ func (a *meshApp) rebuildCache() {
 	a.cache, a.cacheGen = cache, gen
 }
 
-func (a *meshApp) buildEnc(p MeshPeer) (*meshEnc, error) {
-	peerIP := netip.AddrFrom4(p.IP)
-	e := &meshEnc{mode: p.Mode}
-	e.eth = packet.Ethernet{SrcMAC: a.localMAC, DstMAC: packet.MAC(p.MAC), EtherType: packet.EtherTypeIPv4}
-	e.ip = packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: peerIP, DontFrag: true}
+func (a *meshApp) buildEnc(p MeshPeer) (*encapStack, error) {
+	var mode string
 	switch p.Mode {
 	case MeshModeGRE:
-		e.ip.Protocol = packet.IPProtocolGRE
-		e.gre = packet.GRE{Protocol: packet.EtherTypeTransparentEthernet}
-		if p.GREKey != 0 {
-			e.gre.KeyPresent = true
-			e.gre.Key = p.GREKey
-		}
-		e.stack = []packet.SerializableLayer{&e.eth, &e.ip, &e.gre, &a.payload}
+		mode = TunnelGRE
 	case MeshModeVXLAN:
-		e.ip.Protocol = packet.IPProtocolUDP
-		e.udp = packet.UDP{DstPort: packet.PortVXLAN}
-		if err := e.udp.SetNetworkLayerForChecksum(a.local, peerIP); err != nil {
-			return nil, err
-		}
-		e.vx = packet.VXLAN{VNI: p.VNI}
-		e.stack = []packet.SerializableLayer{&e.eth, &e.ip, &e.udp, &e.vx, &a.payload}
+		mode = TunnelVXLAN
 	default:
 		return nil, fmt.Errorf("mesh: unknown peer mode %d", p.Mode)
 	}
-	return e, nil
+	return newEncapStack(mode, a.localMAC, packet.MAC(p.MAC), a.local, netip.AddrFrom4(p.IP), a.ttl, p.VNI, p.GREKey)
 }
 
 func (a *meshApp) handle(ctx *ppe.Ctx) ppe.Verdict {
-	if a.mode == "" {
+	if a.rx.mode == "" {
 		return ppe.VerdictPass
 	}
 	switch ctx.Dir {
@@ -327,83 +297,33 @@ func (a *meshApp) handleEgress(ctx *ppe.Ctx) ppe.Verdict {
 		a.ctr.Inc(MeshNoPeer, len(ctx.Data))
 		return ppe.VerdictDrop
 	}
-	if enc.mode == MeshModeVXLAN {
-		enc.udp.SrcPort = uint16(49152 + packet.FNV64(ctx.Data[:min(34, len(ctx.Data))])%16384)
-	}
-	a.payload = packet.Payload(ctx.Data)
-	opts := packet.SerializeOptions{FixLengths: true, ComputeChecksums: true}
-	if err := packet.SerializeLayers(a.buf, opts, enc.stack...); err != nil {
+	out, n, err := enc.wrap(ctx.Data, a.buf, a.ring, a.mtu)
+	switch {
+	case err != nil:
 		a.ctr.Inc(MeshErrors, len(ctx.Data))
 		return ppe.VerdictDrop
-	}
-	if a.buf.Len() > a.mtu {
-		// Like the tunnel app, the counter records the would-be encapped
-		// size so MTU headroom is measurable.
-		a.ctr.Inc(MeshTooBig, a.buf.Len())
+	case out == nil:
+		a.ctr.Inc(MeshTooBig, n)
 		return ppe.VerdictDrop
 	}
-	out := a.ring.take(a.buf.Len())
-	copy(out, a.buf.Bytes())
 	ctx.Data = out
-	a.ctr.Inc(MeshEncapped, len(out))
+	a.ctr.Inc(MeshEncapped, n)
 	return ppe.VerdictPass
 }
 
 // handleIngress decaps overlay traffic addressed to this cable's own
 // endpoint; everything else passes untouched.
 func (a *meshApp) handleIngress(ctx *ppe.Ctx) ppe.Verdict {
-	data := ctx.Data
-	if !a.v.Parse(data) || !a.v.IsIPv4 {
-		a.ctr.Inc(MeshPassed, len(data))
+	inner, st := a.rx.classify(&a.v, ctx.Data)
+	switch st {
+	case decapPass:
+		a.ctr.Inc(MeshPassed, len(ctx.Data))
 		return ppe.VerdictPass
+	case decapErr:
+		a.ctr.Inc(MeshErrors, len(ctx.Data))
+		return ppe.VerdictDrop
 	}
-	v := &a.v
-	if [4]byte(v.DstIPv4()) != a.local4 {
-		a.ctr.Inc(MeshPassed, len(data))
-		return ppe.VerdictPass
-	}
-	l4 := v.L3Off + v.IPv4HeaderLen()
-	switch {
-	case a.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
-		var gre packet.GRE
-		if gre.DecodeFromBytes(data[l4:]) != nil ||
-			gre.Protocol != packet.EtherTypeTransparentEthernet {
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		if a.greKey != 0 && (!gre.KeyPresent || gre.Key != a.greKey) {
-			// Claims our endpoint without our key — corrupt or spoofed.
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		inner := gre.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		ctx.Data = out
-		a.ctr.Inc(MeshDecapped, len(out))
-		return ppe.VerdictPass
-	case a.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
-		if len(data) < l4+16 {
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		var vx packet.VXLAN
-		if vx.DecodeFromBytes(data[l4+8:]) != nil {
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		if vx.VNI != a.vni {
-			// A foreign tenant's segment transiting us: not ours to open.
-			a.ctr.Inc(MeshPassed, len(data))
-			return ppe.VerdictPass
-		}
-		inner := vx.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		ctx.Data = out
-		a.ctr.Inc(MeshDecapped, len(out))
-		return ppe.VerdictPass
-	}
-	a.ctr.Inc(MeshPassed, len(data))
+	ctx.Data = a.ring.copyIn(inner)
+	a.ctr.Inc(MeshDecapped, len(ctx.Data))
 	return ppe.VerdictPass
 }

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/netip"
 
@@ -46,51 +45,23 @@ const (
 	tunnelCounters
 )
 
-// decapStatus classifies an optical-side frame.
-type decapStatus int
-
-const (
-	// decapPass: not this endpoint's tunnel traffic (wrong destination,
-	// non-IP, a foreign tenant's VNI, or a protocol the mode does not
-	// own) — forwarded untouched.
-	decapPass decapStatus = iota
-	// decapOK: a well-formed tunnel frame, inner payload recovered.
-	decapOK
-	// decapErr: addressed to this endpoint and claiming its tunnel mode,
-	// but malformed (truncated or corrupt outer headers) — dropped and
-	// counted in TunnelErrors, never silently forwarded.
-	decapErr
-)
-
-var errInnerNotIPv4 = errors.New("tunnel: ipip inner frame is not IPv4")
-
 type tunnelApp struct {
 	prog  *ppe.Program
 	state *ppe.State
 	ctr   *ppe.CounterBank
 
-	mode            string
-	local, remote   netip.Addr
-	local4          [4]byte
-	localMAC, gwMAC packet.MAC
-	vni, greKey     uint32
-	ttl             uint8
-	mtu             int
-	buf             *packet.SerializeBuffer
-	v               packet.View
-	ring            *frameRing
+	enc  *encapStack // toward the remote; nil until configured
+	rx   decapEndpoint
+	mtu  int
+	buf  *packet.SerializeBuffer
+	v    packet.View
+	ring *frameRing
 
-	// Persistent serialization state: the layer structs and stacks are
-	// built once at Configure and reused per frame, so the hot path does
-	// not allocate (the property tests pin 0 allocs/op).
-	outerEth packet.Ethernet
-	outerIP  packet.IPv4
-	gre      packet.GRE
-	udp      packet.UDP
-	vx       packet.VXLAN
-	payload  packet.Payload
-	encStack []packet.SerializableLayer
-	ethStack []packet.SerializableLayer // IPIP decap re-wrap
+	// IP-in-IP decap re-wraps the inner IPv4 packet in the edge-side
+	// Ethernet header; the stack is built once so the path stays
+	// alloc-free.
+	inner    packet.Payload
+	ethStack []packet.SerializableLayer
 }
 
 // NewTunnel builds a tunnel endpoint instance.
@@ -126,11 +97,6 @@ func (a *tunnelApp) Configure(config []byte) error {
 	if err := json.Unmarshal(config, &cfg); err != nil {
 		return fmt.Errorf("tunnel: %w", err)
 	}
-	switch cfg.Mode {
-	case TunnelGRE, TunnelVXLAN, TunnelIPIP:
-	default:
-		return fmt.Errorf("tunnel: unknown mode %q", cfg.Mode)
-	}
 	local, err := netip.ParseAddr(cfg.LocalIP)
 	if err != nil {
 		return fmt.Errorf("tunnel local: %w", err)
@@ -150,48 +116,21 @@ func (a *tunnelApp) Configure(config []byte) error {
 	if err != nil {
 		return fmt.Errorf("tunnel gateway MAC: %w", err)
 	}
-	a.mode, a.local, a.remote = cfg.Mode, local, remote
-	a.local4 = local.As4()
-	a.localMAC, a.gwMAC = lmac, gmac
-	a.vni, a.greKey = cfg.VNI, cfg.GREKey
-	a.ttl = cfg.TTL
-	if a.ttl == 0 {
-		a.ttl = 64
+	ttl := cfg.TTL
+	if ttl == 0 {
+		ttl = 64
 	}
+	enc, err := newEncapStack(cfg.Mode, lmac, gmac, local, remote, ttl, cfg.VNI, cfg.GREKey)
+	if err != nil {
+		return fmt.Errorf("tunnel: %w", err)
+	}
+	a.enc = enc
+	a.rx = decapEndpoint{mode: cfg.Mode, local4: local.As4(), vni: cfg.VNI, greKey: cfg.GREKey}
 	a.mtu = cfg.MTU
 	if a.mtu == 0 {
 		a.mtu = 1518
 	}
-	return a.buildStacks()
-}
-
-// buildStacks prepares the persistent outer-header layer structs and the
-// per-mode serialization stack.
-func (a *tunnelApp) buildStacks() error {
-	a.outerEth = packet.Ethernet{SrcMAC: a.localMAC, DstMAC: a.gwMAC, EtherType: packet.EtherTypeIPv4}
-	a.outerIP = packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: a.remote, DontFrag: true}
-	switch a.mode {
-	case TunnelGRE:
-		a.outerIP.Protocol = packet.IPProtocolGRE
-		a.gre = packet.GRE{Protocol: packet.EtherTypeTransparentEthernet}
-		if a.greKey != 0 {
-			a.gre.KeyPresent = true
-			a.gre.Key = a.greKey
-		}
-		a.encStack = []packet.SerializableLayer{&a.outerEth, &a.outerIP, &a.gre, &a.payload}
-	case TunnelVXLAN:
-		a.outerIP.Protocol = packet.IPProtocolUDP
-		a.udp = packet.UDP{DstPort: packet.PortVXLAN}
-		if err := a.udp.SetNetworkLayerForChecksum(a.local, a.remote); err != nil {
-			return err
-		}
-		a.vx = packet.VXLAN{VNI: a.vni}
-		a.encStack = []packet.SerializableLayer{&a.outerEth, &a.outerIP, &a.udp, &a.vx, &a.payload}
-	case TunnelIPIP:
-		a.outerIP.Protocol = packet.IPProtocolIPv4
-		a.encStack = []packet.SerializableLayer{&a.outerEth, &a.outerIP, &a.payload}
-	}
-	a.ethStack = []packet.SerializableLayer{&a.outerEth, &a.payload}
+	a.ethStack = []packet.SerializableLayer{&a.enc.eth, &a.inner}
 	if a.ring == nil {
 		a.ring = newFrameRing()
 	}
@@ -199,29 +138,44 @@ func (a *tunnelApp) buildStacks() error {
 }
 
 func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
-	if a.mode == "" {
+	if a.enc == nil {
 		return ppe.VerdictPass
 	}
 	switch ctx.Dir {
 	case ppe.DirEdgeToOptical:
-		out, err := a.encap(ctx.Data)
-		if err != nil {
+		inner := ctx.Data
+		if a.enc.mode == TunnelIPIP {
+			// IP-in-IP carries the inner IP packet only.
+			if !a.v.Parse(inner) || !a.v.IsIPv4 {
+				a.ctr.Inc(TunnelErrors, len(ctx.Data))
+				return ppe.VerdictDrop
+			}
+			inner = inner[a.v.L3Off:]
+		}
+		out, n, err := a.enc.wrap(inner, a.buf, a.ring, a.mtu)
+		switch {
+		case err != nil:
 			a.ctr.Inc(TunnelErrors, len(ctx.Data))
 			return ppe.VerdictDrop
-		}
-		if len(out) > a.mtu {
-			// The outer header would push the frame past the egress MTU;
-			// outer packets carry DF, so the hardware drops (an ICMP
-			// too-big would be the control plane's job). The counter
-			// records the would-be encapped size — not the inner size —
-			// so MTU headroom is directly measurable from it.
-			a.ctr.Inc(TunnelTooBig, len(out))
+		case out == nil:
+			a.ctr.Inc(TunnelTooBig, n)
 			return ppe.VerdictDrop
 		}
 		ctx.Data = out
-		a.ctr.Inc(TunnelEncapped, len(out))
+		a.ctr.Inc(TunnelEncapped, n)
 	case ppe.DirOpticalToEdge:
-		out, st := a.decap(ctx.Data)
+		inner, st := a.rx.classify(&a.v, ctx.Data)
+		if st == decapOK && a.rx.mode == TunnelIPIP {
+			// Re-wrap the inner IP packet in an Ethernet frame toward the
+			// edge host.
+			a.inner = packet.Payload(inner)
+			err := packet.SerializeLayers(a.buf, packet.SerializeOptions{}, a.ethStack...)
+			a.inner = nil
+			if err != nil {
+				st = decapErr
+			}
+			inner = a.buf.Bytes()
+		}
 		switch st {
 		case decapPass:
 			a.ctr.Inc(TunnelPassed, len(ctx.Data))
@@ -230,92 +184,8 @@ func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 			a.ctr.Inc(TunnelErrors, len(ctx.Data))
 			return ppe.VerdictDrop
 		}
-		ctx.Data = out
-		a.ctr.Inc(TunnelDecapped, len(out))
+		ctx.Data = a.ring.copyIn(inner)
+		a.ctr.Inc(TunnelDecapped, len(ctx.Data))
 	}
 	return ppe.VerdictPass
-}
-
-func (a *tunnelApp) encap(data []byte) ([]byte, error) {
-	switch a.mode {
-	case TunnelGRE:
-		a.payload = packet.Payload(data)
-	case TunnelVXLAN:
-		// Source-port entropy from the inner frame keeps ECMP balanced.
-		a.udp.SrcPort = uint16(49152 + packet.FNV64(data[:min(34, len(data))])%16384)
-		a.payload = packet.Payload(data)
-	case TunnelIPIP:
-		// IP-in-IP carries the inner IP packet only.
-		if !a.v.Parse(data) || !a.v.IsIPv4 {
-			return nil, errInnerNotIPv4
-		}
-		a.payload = packet.Payload(data[a.v.L3Off:])
-	}
-	opts := packet.SerializeOptions{FixLengths: true, ComputeChecksums: true}
-	if err := packet.SerializeLayers(a.buf, opts, a.encStack...); err != nil {
-		return nil, err
-	}
-	out := a.ring.take(a.buf.Len())
-	copy(out, a.buf.Bytes())
-	return out, nil
-}
-
-// decap classifies an optical-side frame and strips the tunnel header
-// when it is well-formed tunnel traffic addressed to this endpoint.
-func (a *tunnelApp) decap(data []byte) ([]byte, decapStatus) {
-	if !a.v.Parse(data) || !a.v.IsIPv4 {
-		return nil, decapPass
-	}
-	v := &a.v
-	l4 := v.L3Off + v.IPv4HeaderLen()
-	if [4]byte(v.DstIPv4()) != a.local4 {
-		return nil, decapPass
-	}
-	switch {
-	case a.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
-		var gre packet.GRE
-		if gre.DecodeFromBytes(data[l4:]) != nil ||
-			gre.Protocol != packet.EtherTypeTransparentEthernet {
-			return nil, decapErr
-		}
-		inner := gre.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		return out, decapOK
-	case a.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
-		if len(data) < l4+16 {
-			return nil, decapErr
-		}
-		var vx packet.VXLAN
-		if vx.DecodeFromBytes(data[l4+8:]) != nil {
-			return nil, decapErr
-		}
-		if vx.VNI != a.vni {
-			// Well-formed but a different tenant's segment: not ours to
-			// open — forward untouched.
-			return nil, decapPass
-		}
-		inner := vx.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		return out, decapOK
-	case a.mode == TunnelIPIP && v.Proto == packet.IPProtocolIPv4:
-		// Re-wrap the inner IP packet in an Ethernet frame toward the
-		// edge host.
-		a.payload = packet.Payload(data[l4:])
-		if packet.SerializeLayers(a.buf, packet.SerializeOptions{}, a.ethStack...) != nil {
-			return nil, decapErr
-		}
-		out := a.ring.take(a.buf.Len())
-		copy(out, a.buf.Bytes())
-		return out, decapOK
-	}
-	return nil, decapPass
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

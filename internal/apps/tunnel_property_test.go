@@ -263,6 +263,10 @@ func TestTunnelDecapMalformedVectors(t *testing.T) {
 			binary.BigEndian.PutUint16(f[l4+2:], 0x1234)
 			return f
 		}},
+		{"gre/wrong-key", TunnelGRE, func(f []byte) []byte {
+			binary.BigEndian.PutUint32(f[l4+4:], 100) // configured key is 99
+			return f
+		}},
 		{"vxlan/i-flag-clear", TunnelVXLAN, func(f []byte) []byte {
 			f[l4+8] &^= 0x08
 			return f
@@ -296,11 +300,22 @@ func TestTunnelDecapMalformedVectors(t *testing.T) {
 	}
 }
 
+// greWrongKeyFrame is a well-formed GRE frame for the canonical decap
+// endpoint whose key (100) differs from the configured one (99).
+func greWrongKeyFrame() []byte {
+	f := encapTunnelFrame(TunnelGRE)
+	binary.BigEndian.PutUint32(f[34+4:], 100)
+	return f
+}
+
 // FuzzOverlayDecap throws arbitrary wire bytes at the optical-to-edge
 // decap path of both overlay datapaths (the point tunnel and the mesh):
 // malformed outer headers must never panic, and every frame must land in
 // exactly one counter, with drops accounted as errors — never as
-// decapped traffic.
+// decapped traffic. The two apps share one decap classifier, so with the
+// same receive endpoint (10.255.0.1, same mode, VNI 7777, GRE key 99)
+// they must also agree on the verdict, the counter class and the
+// decapped bytes.
 func FuzzOverlayDecap(f *testing.F) {
 	for _, mode := range []string{TunnelGRE, TunnelVXLAN} {
 		valid := encapTunnelFrame(mode)
@@ -313,6 +328,7 @@ func FuzzOverlayDecap(f *testing.F) {
 		f.Add(uint8(0), flipped)
 	}
 	f.Add(uint8(2), []byte{0xde, 0xad})
+	f.Add(uint8(0), greWrongKeyFrame())
 
 	f.Fuzz(func(t *testing.T, modeSel uint8, data []byte) {
 		modes := []string{TunnelGRE, TunnelVXLAN, TunnelIPIP}
@@ -323,7 +339,7 @@ func FuzzOverlayDecap(f *testing.F) {
 		if err := tun.Configure(cfgJSON); err != nil {
 			t.Fatal(err)
 		}
-		checkDecapCounters(t, "tunnel", tun.prog.Handler, tun.ctr, data,
+		tv, tClass, tOut := checkDecapCounters(t, "tunnel", tun.prog.Handler, tun.ctr, data,
 			[2]int{TunnelDecapped, TunnelErrors}, []int{TunnelPassed})
 
 		if mode != TunnelIPIP {
@@ -335,16 +351,24 @@ func FuzzOverlayDecap(f *testing.F) {
 			if err := m.Configure(mcfg); err != nil {
 				t.Fatal(err)
 			}
-			checkDecapCounters(t, "mesh", m.prog.Handler, m.ctr, data,
+			mv, mClass, mOut := checkDecapCounters(t, "mesh", m.prog.Handler, m.ctr, data,
 				[2]int{MeshDecapped, MeshErrors}, []int{MeshPassed})
+			if tv != mv || tClass != mClass {
+				t.Fatalf("%s: tunnel %v/%s, mesh %v/%s", mode, tv, tClass, mv, mClass)
+			}
+			if !bytes.Equal(tOut, mOut) {
+				t.Fatalf("%s: decapped output differs: tunnel %dB, mesh %dB", mode, len(tOut), len(mOut))
+			}
 		}
 	})
 }
 
 // checkDecapCounters runs one frame through a decap handler and asserts
 // the counter/verdict contract: exactly one counter fires; Drop ⇔ the
-// error counter; decapped ⇒ Pass with a strictly smaller frame.
-func checkDecapCounters(t *testing.T, name string, h ppe.Handler, ctr *ppe.CounterBank, data []byte, decapErrIdx [2]int, passIdx []int) {
+// error counter; decapped ⇒ Pass with a strictly smaller frame. It
+// returns the verdict, the counter class that fired ("decap", "err" or
+// "pass") and the output frame.
+func checkDecapCounters(t *testing.T, name string, h ppe.Handler, ctr *ppe.CounterBank, data []byte, decapErrIdx [2]int, passIdx []int) (ppe.Verdict, string, []byte) {
 	t.Helper()
 	decapIdx, errIdx := decapErrIdx[0], decapErrIdx[1]
 	in := append([]byte(nil), data...)
@@ -374,4 +398,12 @@ func checkDecapCounters(t *testing.T, name string, h ppe.Handler, ctr *ppe.Count
 	if counts[decapIdx] == 1 && len(ctx.Data) >= len(data) {
 		t.Fatalf("%s: decap output (%dB) not smaller than input (%dB)", name, len(ctx.Data), len(data))
 	}
+	class := "pass"
+	switch {
+	case counts[decapIdx] == 1:
+		class = "decap"
+	case counts[errIdx] == 1:
+		class = "err"
+	}
+	return v, class, ctx.Data
 }

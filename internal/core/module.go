@@ -124,10 +124,6 @@ type Module struct {
 	// reconfigure; returning false marks the new design wedged.
 	healthProbe func(slot int) bool
 
-	// burst is the reusable scratch batch the RxBurst entry points stage
-	// data frames in before one SubmitBurst into the engine.
-	burst []ppe.Frame
-
 	// tel and tracer, when attached (AttachTelemetry), instrument the
 	// datapath; the engine re-acquires tel across reboots in bootNow.
 	tel    *ppe.Telemetry
@@ -431,59 +427,6 @@ func (m *Module) rx(from PortID, data []byte) {
 	}
 
 	m.engine.Submit(data, dir)
-}
-
-// RxEdgeBurst receives a batch of frames on the electrical interface.
-func (m *Module) RxEdgeBurst(frames [][]byte) { m.rxBurst(PortEdge, frames) }
-
-// RxOpticalBurst receives a batch of frames on the optical interface.
-func (m *Module) RxOpticalBurst(frames [][]byte) { m.rxBurst(PortOptical, frames) }
-
-// rxBurst is the batched receive path: frames are demuxed exactly like
-// rx, but consecutive data frames are staged and offered to the PPE with
-// one SubmitBurst, amortizing scheduler interaction the way a descriptor
-// ring amortizes doorbell writes. Any frame that cannot join the batch
-// (control traffic, filter bypass) flushes the staged frames first so
-// per-frame ordering is preserved.
-func (m *Module) rxBurst(from PortID, frames [][]byte) {
-	dir := ppe.DirEdgeToOptical
-	if from == PortOptical {
-		dir = ppe.DirOpticalToEdge
-	}
-	batch := m.burst[:0]
-	for _, data := range frames {
-		m.stats.Rx[from]++
-		if isControlFrame(data) {
-			if len(batch) > 0 {
-				m.engine.SubmitBurst(batch)
-				batch = batch[:0]
-			}
-			m.handleControl(from, data)
-			continue
-		}
-		if m.state != stateRunning {
-			m.stats.RebootDrops++
-			continue
-		}
-		if m.cfg.Shell == hls.OneWayFilter && dir == ppe.DirOpticalToEdge {
-			if len(batch) > 0 {
-				m.engine.SubmitBurst(batch)
-				batch = batch[:0]
-			}
-			m.send(PortEdge, data)
-			continue
-		}
-		batch = append(batch, ppe.Frame{Data: data, Dir: dir})
-	}
-	if len(batch) > 0 {
-		m.engine.SubmitBurst(batch)
-	}
-	// Keep the grown scratch but drop frame references so pooled buffers
-	// aren't pinned between bursts.
-	for i := range batch {
-		batch[i] = ppe.Frame{}
-	}
-	m.burst = batch[:0]
 }
 
 func (m *Module) verdict(v ppe.Verdict, ctx *ppe.Ctx) {

@@ -20,19 +20,7 @@ type ReliabilityResult struct {
 func ReliabilityExperiment(seed int64) ReliabilityResult {
 	cfg := reliability.DefaultFleet()
 	return ReliabilityResult{
-		Report: reliability.RunFleet(seed, reliability.DefaultVCSEL(), cfg),
-		Config: cfg,
-	}
-}
-
-// ReliabilityExperimentSharded runs the fleet on the parallel simulation
-// core. RunFleetSharded's partition seeding matches RunFleet's exactly,
-// so the result — and its JSON envelope — is bit-identical to the
-// default path at any shard count.
-func ReliabilityExperimentSharded(seed int64, shards int) ReliabilityResult {
-	cfg := reliability.DefaultFleet()
-	return ReliabilityResult{
-		Report: reliability.RunFleetSharded(seed, reliability.DefaultVCSEL(), cfg, shards),
+		Report: reliability.RunFleet(seed, reliability.DefaultVCSEL(), cfg, 0),
 		Config: cfg,
 	}
 }
@@ -102,16 +90,10 @@ func runReliability(ctx exp.RunContext) (exp.Result, error) {
 		}
 		return exp.NewResult(env, r.Render), nil
 	}
-	var r ReliabilityResult
-	if ctx.Shards > 1 {
-		// Placement-only knob: same partition seeding, same report bits,
-		// executed across ctx.Shards event heaps. (The multi-trial path
-		// above already fans out across workers; Shards applies to the
-		// single-seed fleet.)
-		r = ReliabilityExperimentSharded(ctx.Seed, ctx.Shards)
-	} else {
-		r = ReliabilityExperiment(ctx.Seed)
-	}
+	// ctx.Shards is placement-only and the fleet report is identical at
+	// any worker count (per-partition seeding), so one runner serves
+	// every shard count.
+	r := ReliabilityExperiment(ctx.Seed)
 	env.Detail = r
 	env.Metrics = []exp.Metric{
 		exp.Scalar("mttf_years", "yr", r.Report.MTTFYears),

@@ -93,12 +93,6 @@ func (c *completion) Complete() {
 	e.freeComp = c
 }
 
-// Frame is one burst-submission element (see SubmitBurst).
-type Frame struct {
-	Data []byte
-	Dir  Direction
-}
-
 // EngineStats counts engine activity.
 type EngineStats struct {
 	In        uint64 // frames accepted
@@ -218,32 +212,7 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 		panic("ppe: Submit before SetProgram")
 	}
 	now := e.sim.Now()
-	return e.submitAt(now, int64(now)*1000, data, dir)
-}
-
-// SubmitBurst offers a batch of frames back to back, amortizing the
-// scheduler interaction (a single clock read) across the batch the way a
-// DMA engine posts a descriptor ring. It returns the number of frames
-// accepted; the rest were queue drops. Frames are processed in order with
-// identical semantics to calling Submit once per frame.
-func (e *Engine) SubmitBurst(frames []Frame) int {
-	if e.prog == nil {
-		panic("ppe: SubmitBurst before SetProgram")
-	}
-	now := e.sim.Now()
 	nowPs := int64(now) * 1000
-	accepted := 0
-	for i := range frames {
-		if e.submitAt(now, nowPs, frames[i].Data, frames[i].Dir) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// submitAt is the allocation-free submission core: occupancy accounting,
-// queue admission, and scheduling of the frame's pooled completion.
-func (e *Engine) submitAt(now netsim.Time, nowPs int64, data []byte, dir Direction) bool {
 	startPs := e.busyUntilPs
 	if startPs < nowPs {
 		startPs = nowPs

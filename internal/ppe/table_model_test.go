@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flexsfp/internal/netsim"
@@ -298,21 +299,32 @@ func TestTableConcurrentReadersAndWriter(t *testing.T) {
 }
 
 // TestTernaryConcurrentLookups races RLock readers against a writer; the
-// atomic hit counters must keep the total exact.
+// atomic hit and miss counters must keep the totals exact. The writer's
+// Clear-then-Add leaves a window in which the table is empty, so a
+// concurrent lookup may miss; a hit must never return another entry's
+// data, and once the writer is done the entry must match again.
 func TestTernaryConcurrentLookups(t *testing.T) {
 	tt := NewTernaryTable(TableSpec{Name: "acl", Kind: TableTernary, KeyBits: 8, Size: 16})
 	if err := tt.Add(TernaryEntry{Value: []byte{0x10}, Mask: []byte{0xf0}, Priority: 1, Data: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
 	const perReader = 5000
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		observed atomic.Uint64
+	)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
-				if _, ok := tt.Lookup([]byte{0x15}); !ok {
-					t.Error("lookup missed")
+				data, ok := tt.Lookup([]byte{0x15})
+				if !ok {
+					observed.Add(1)
+					continue
+				}
+				if len(data) != 1 || data[0] != 1 {
+					t.Errorf("lookup returned %x, want 01", data)
 					return
 				}
 			}
@@ -328,9 +340,15 @@ func TestTernaryConcurrentLookups(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	lookups, _ := tt.Stats()
+	lookups, misses := tt.Stats()
 	if lookups != 4*perReader {
 		t.Fatalf("lookups = %d, want %d", lookups, 4*perReader)
+	}
+	if misses != observed.Load() {
+		t.Fatalf("misses = %d, readers saw %d", misses, observed.Load())
+	}
+	if _, ok := tt.Lookup([]byte{0x15}); !ok {
+		t.Fatal("lookup missed after the writer finished")
 	}
 }
 
@@ -393,103 +411,6 @@ func TestEngineSubmitZeroAlloc(t *testing.T) {
 		sim.Run()
 	}); n != 0 {
 		t.Fatalf("Engine.Submit allocates %v per run, want 0", n)
-	}
-}
-
-// TestEngineSubmitBurstZeroAlloc asserts the batched path is also
-// allocation-free for a steady-state burst.
-func TestEngineSubmitBurstZeroAlloc(t *testing.T) {
-	sim := netsim.New(1)
-	e := NewEngine(sim, clock156, 64, nil)
-	if err := e.SetProgram(passProgram()); err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 64)
-	burst := make([]Frame, 16)
-	for i := range burst {
-		burst[i] = Frame{Data: frame, Dir: DirEdgeToOptical}
-	}
-	for i := 0; i < 8; i++ {
-		e.SubmitBurst(burst)
-		sim.Run()
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if got := e.SubmitBurst(burst); got != len(burst) {
-			t.Fatalf("burst accepted %d of %d", got, len(burst))
-		}
-		sim.Run()
-	}); n != 0 {
-		t.Fatalf("Engine.SubmitBurst allocates %v per run, want 0", n)
-	}
-}
-
-// TestEngineSubmitBurstMatchesSubmit pins burst semantics: SubmitBurst
-// must be observationally identical to calling Submit per frame — same
-// verdict order, same stats, same queue-drop accounting.
-func TestEngineSubmitBurstMatchesSubmit(t *testing.T) {
-	run := func(burst bool) (EngineStats, []uint64) {
-		sim := netsim.New(1)
-		var order []uint64
-		e := NewEngine(sim, clock156, 64, func(v Verdict, ctx *Ctx) {
-			order = append(order, uint64(ctx.Data[0]))
-		})
-		e.QueueLimit = 4
-		if err := e.SetProgram(passProgram()); err != nil {
-			t.Fatal(err)
-		}
-		frames := make([]Frame, 12)
-		for i := range frames {
-			data := make([]byte, 64)
-			data[0] = byte(i)
-			frames[i] = Frame{Data: data, Dir: DirEdgeToOptical}
-		}
-		if burst {
-			e.SubmitBurst(frames)
-		} else {
-			for _, f := range frames {
-				e.Submit(f.Data, f.Dir)
-			}
-		}
-		sim.Run()
-		return e.Stats(), order
-	}
-	sa, oa := run(false)
-	sb, ob := run(true)
-	if sa != sb {
-		t.Fatalf("stats diverge: Submit %+v, SubmitBurst %+v", sa, sb)
-	}
-	if len(oa) != len(ob) {
-		t.Fatalf("verdict counts diverge: %d vs %d", len(oa), len(ob))
-	}
-	for i := range oa {
-		if oa[i] != ob[i] {
-			t.Fatalf("verdict order diverges at %d: %v vs %v", i, oa, ob)
-		}
-	}
-}
-
-// BenchmarkEngineSubmitBurst measures the batched hot path: one clock
-// read per 16 frames.
-func BenchmarkEngineSubmitBurst(b *testing.B) {
-	sim := netsim.New(1)
-	e := NewEngine(sim, 156_250_000, 64, nil)
-	if err := e.SetProgram(&Program{
-		Name:    "pass",
-		Stages:  1,
-		Handler: HandlerFunc(func(ctx *Ctx) Verdict { return VerdictPass }),
-	}); err != nil {
-		b.Fatal(err)
-	}
-	frame := make([]byte, 64)
-	burst := make([]Frame, 16)
-	for i := range burst {
-		burst[i] = Frame{Data: frame, Dir: DirEdgeToOptical}
-	}
-	b.ReportAllocs()
-	b.SetBytes(64 * int64(len(burst)))
-	for i := 0; i < b.N; i++ {
-		e.SubmitBurst(burst)
-		sim.Run()
 	}
 }
 

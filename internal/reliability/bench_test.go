@@ -1,9 +1,6 @@
 package reliability
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkFleet10k measures the paper-scale fleet simulation (10,000
 // modules, 10 years, quarterly sweeps) through the default sharded path.
@@ -12,7 +9,7 @@ func BenchmarkFleet10k(b *testing.B) {
 	cfg := DefaultFleet()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep := RunFleet(int64(i+1), m, cfg)
+		rep := RunFleet(int64(i+1), m, cfg, 0)
 		if rep.Failures == 0 {
 			b.Fatal("no failures")
 		}
@@ -28,7 +25,7 @@ func BenchmarkFleet10kSerial(b *testing.B) {
 	cfg := DefaultFleet()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep := RunFleetSerial(int64(i+1), m, cfg)
+		rep := runFleetSerial(int64(i+1), m, cfg)
 		if rep.Failures == 0 {
 			b.Fatal("no failures")
 		}
@@ -60,26 +57,5 @@ func BenchmarkFleetTrials8Serial(b *testing.B) {
 		if tr.Failures.Mean == 0 {
 			b.Fatal("no failures")
 		}
-	}
-}
-
-// BenchmarkFleet10kPDES runs the same fleet on the parallel simulation
-// core: partitions pinned to event-heap shards, executed by the window
-// synchronizer. Compare against BenchmarkFleet10kSerial for the PDES
-// speedup and against BenchmarkFleet10k for the overhead versus the
-// bespoke goroutine fan-out.
-func BenchmarkFleet10kPDES(b *testing.B) {
-	m := DefaultVCSEL()
-	cfg := DefaultFleet()
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep := RunFleetSharded(int64(i+1), m, cfg, shards)
-				if rep.Failures == 0 {
-					b.Fatal("no failures")
-				}
-			}
-		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"flexsfp/internal/runner"
 )
 
 func TestLognormalTTFStatistics(t *testing.T) {
@@ -80,7 +82,7 @@ func TestDegradationMonotoneProperty(t *testing.T) {
 }
 
 func TestFleetReport(t *testing.T) {
-	rep := RunFleet(11, DefaultVCSEL(), DefaultFleet())
+	rep := RunFleet(11, DefaultVCSEL(), DefaultFleet(), 0)
 	if rep.Modules != 10000 {
 		t.Fatalf("modules = %d", rep.Modules)
 	}
@@ -104,7 +106,7 @@ func TestFleetReport(t *testing.T) {
 }
 
 func TestReplacementEconomics(t *testing.T) {
-	rep := RunFleet(11, DefaultVCSEL(), DefaultFleet())
+	rep := RunFleet(11, DefaultVCSEL(), DefaultFleet(), 0)
 	// Laser repair on FlexSFPs saves most of the whole-module cost.
 	if rep.LaserRepairSavingFrac < 0.7 {
 		t.Errorf("laser-repair saving = %.2f", rep.LaserRepairSavingFrac)
@@ -130,12 +132,12 @@ func TestComponentRepairViability(t *testing.T) {
 }
 
 func TestFleetDeterminism(t *testing.T) {
-	a := RunFleet(5, DefaultVCSEL(), DefaultFleet())
-	b := RunFleet(5, DefaultVCSEL(), DefaultFleet())
+	a := RunFleet(5, DefaultVCSEL(), DefaultFleet(), 0)
+	b := RunFleet(5, DefaultVCSEL(), DefaultFleet(), 0)
 	if a != b {
 		t.Error("same seed produced different fleet reports")
 	}
-	c := RunFleet(6, DefaultVCSEL(), DefaultFleet())
+	c := RunFleet(6, DefaultVCSEL(), DefaultFleet(), 0)
 	if a == c {
 		t.Error("different seeds produced identical reports")
 	}
@@ -144,29 +146,50 @@ func TestFleetDeterminism(t *testing.T) {
 func TestInspectionIntervalMatters(t *testing.T) {
 	cfg := DefaultFleet()
 	cfg.InspectionIntervalYears = 3 // rare sweeps miss the warning window
-	rare := RunFleet(11, DefaultVCSEL(), cfg)
-	frequent := RunFleet(11, DefaultVCSEL(), DefaultFleet())
+	rare := RunFleet(11, DefaultVCSEL(), cfg, 0)
+	frequent := RunFleet(11, DefaultVCSEL(), DefaultFleet(), 0)
 	if rare.DetectedEarly >= frequent.DetectedEarly {
 		t.Errorf("rare sweeps detected %d ≥ frequent %d", rare.DetectedEarly, frequent.DetectedEarly)
 	}
 }
 
-// The sharded pool path must match the single-loop reference bit for bit,
-// for any worker count and for fleets that don't divide evenly into
-// shards.
+// runFleetSerial is the single-loop reference RunFleet is pinned to:
+// the same per-partition seeding and reduction, executed on the calling
+// goroutine with no pool.
+func runFleetSerial(seed int64, m VCSELModel, cfg FleetConfig) FleetReport {
+	if !validConfig(m, cfg) {
+		return FleetReport{}
+	}
+	shards := make([]fleetShard, shardCount(cfg.Modules))
+	for shard := range shards {
+		rng := runner.TrialRand(seed, shard)
+		shards[shard] = simShard(rng, shardLen(shard, cfg.Modules), m, cfg)
+	}
+	return reduceShards(shards, cfg)
+}
+
+// The pooled path must match the single-loop reference bit for bit, for
+// any worker count and for fleets that don't divide evenly into
+// partitions or workers.
 func TestShardedFleetMatchesSerial(t *testing.T) {
 	m := DefaultVCSEL()
-	for _, modules := range []int{1, 100, 1023, 1024, 1025, 10000} {
+	for _, modules := range []int{1, 100, 1023, 1024, 1025, 4096, 10000} {
 		cfg := DefaultFleet()
 		cfg.Modules = modules
-		want := RunFleetSerial(11, m, cfg)
-		for _, par := range []int{0, 1, 2, 8} {
-			got := RunFleetParallel(11, m, cfg, par)
+		want := runFleetSerial(11, m, cfg)
+		for _, par := range []int{0, 1, 2, 3, 4, 8} {
+			got := RunFleet(11, m, cfg, par)
 			if got != want {
 				t.Fatalf("modules=%d parallelism=%d: sharded report diverged from serial:\n%+v\nvs\n%+v",
 					modules, par, got, want)
 			}
 		}
+	}
+	// Invalid config stays a zero-value report with a worker pool too.
+	bad := DefaultFleet()
+	bad.Modules = 0
+	if got := RunFleet(3, m, bad, 4); got != (FleetReport{}) {
+		t.Fatalf("invalid config: got %+v, want zero report", got)
 	}
 }
 
@@ -176,7 +199,7 @@ func TestFleetDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) FleetReport {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		return RunFleet(7, m, cfg)
+		return RunFleet(7, m, cfg, 0)
 	}
 	if a, b := run(1), run(8); a != b {
 		t.Fatalf("GOMAXPROCS changed the fleet report:\n%+v\nvs\n%+v", a, b)
@@ -202,8 +225,8 @@ func TestFleetEdgeCaseConfigs(t *testing.T) {
 			mm, cfg := m, DefaultFleet()
 			tc.mutate(&mm, &cfg)
 			for name, rep := range map[string]FleetReport{
-				"RunFleet":       RunFleet(11, mm, cfg),
-				"RunFleetSerial": RunFleetSerial(11, mm, cfg),
+				"RunFleet":       RunFleet(11, mm, cfg, 0),
+				"runFleetSerial": runFleetSerial(11, mm, cfg),
 			} {
 				if rep != (FleetReport{}) {
 					t.Errorf("%s returned %+v, want zero report", name, rep)
@@ -218,7 +241,7 @@ func TestFleetEdgeCaseConfigs(t *testing.T) {
 	// Tiny-but-valid fleets must not panic on percentile indexing.
 	cfg := DefaultFleet()
 	cfg.Modules = 1
-	rep := RunFleet(11, m, cfg)
+	rep := RunFleet(11, m, cfg, 0)
 	if rep.Modules != 1 || math.IsNaN(rep.MTTFYears) {
 		t.Errorf("single-module report = %+v", rep)
 	}
@@ -250,32 +273,5 @@ func TestRunFleetTrials(t *testing.T) {
 	}
 	if zero := RunFleetTrials(11, 0, m, cfg, 0); zero != (FleetTrialsReport{}) {
 		t.Error("zero trials should yield zero report")
-	}
-}
-
-// TestFleetShardedPDESMatchesSerial pins the netsim.Sharded execution of
-// the fleet: partitions become events on shard heaps, but the partition
-// seeding is RunFleet's, so the report must be bit-identical to the
-// serial reference at every shard count — including fleets that don't
-// divide evenly into partitions or shards.
-func TestFleetShardedPDESMatchesSerial(t *testing.T) {
-	m := DefaultVCSEL()
-	for _, modules := range []int{1, 1023, 1024, 4096, 10000} {
-		cfg := DefaultFleet()
-		cfg.Modules = modules
-		want := RunFleetSerial(11, m, cfg)
-		for _, shards := range []int{0, 1, 2, 3, 4, 8} {
-			got := RunFleetSharded(11, m, cfg, shards)
-			if got != want {
-				t.Fatalf("modules=%d shards=%d: PDES report diverged from serial:\n%+v\nvs\n%+v",
-					modules, shards, got, want)
-			}
-		}
-	}
-	// Invalid config stays a zero-value report on the sharded path too.
-	bad := DefaultFleet()
-	bad.Modules = 0
-	if got := RunFleetSharded(3, m, bad, 4); got != (FleetReport{}) {
-		t.Fatalf("invalid config: got %+v, want zero report", got)
 	}
 }

@@ -99,6 +99,18 @@ func Map[T any](n int, opts Options, fn func(trial int, rng *rand.Rand) (T, erro
 		mu.Unlock()
 		cancel()
 	}
+	// skip reports whether trial i need not run: the caller cancelled, or
+	// a lower-numbered trial already failed. A trial below the lowest
+	// failure so far still runs even after cancel(), so the reported
+	// error is the lowest failing trial's whatever order workers woke in.
+	skip := func(i int) bool {
+		if opts.Context != nil && opts.Context.Err() != nil {
+			return true
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return i > errTrial
+	}
 
 	workers := opts.workers(n)
 	if workers == 1 {
@@ -127,7 +139,7 @@ func Map[T any](n int, opts Options, fn func(trial int, rng *rand.Rand) (T, erro
 		go func() {
 			defer wg.Done()
 			for i := range trials {
-				if ctx.Err() != nil {
+				if skip(i) {
 					continue // drain
 				}
 				r, err := fn(i, TrialRand(opts.Seed, i))

@@ -119,10 +119,7 @@ type Generator struct {
 	Refused uint64 // sink returned false (downstream drop)
 
 	// tracer, when set, samples emitted frames into the packet-trace ring
-	// and threads the trace ID through the synchronous sink call. Only the
-	// per-frame Run path traces; RunBurst hands whole batches to the sink,
-	// where a single ambient ID cannot identify one frame (RunBurst is the
-	// throughput path, Run the latency/trace-accurate reference).
+	// and threads the trace ID through the synchronous sink call.
 	tracer *telemetry.Tracer
 
 	stopped bool
@@ -278,45 +275,6 @@ func (g *Generator) Run(count uint64) {
 			g.tracer.SetCurrent(0)
 		}
 		g.sim.ScheduleDetached(g.gap(), emit)
-	}
-	g.sim.ScheduleDetached(g.gap(), emit)
-}
-
-// RunBurst emits frames in batches of burst, handing each batch to sink
-// as one slice per scheduler wakeup (the descriptor-ring shape DMA
-// engines use): one simulator event covers burst frames instead of one
-// each, with the batch's inter-arrival gaps accumulated so the average
-// pacing matches Run exactly. sink returns how many frames the
-// downstream accepted. Buffers are pooled like Run's; the consumer
-// recycles them with PutBuffer. Intended for throughput benches and
-// batch-capable shells — the per-frame Run path remains the reference
-// for latency-accurate experiments.
-func (g *Generator) RunBurst(count uint64, burst int, sink func([][]byte) int) {
-	if burst < 1 {
-		burst = 1
-	}
-	batch := make([][]byte, 0, burst)
-	var emit func()
-	emit = func() {
-		if g.stopped || (count > 0 && g.Sent >= count) {
-			return
-		}
-		batch = batch[:0]
-		var wait netsim.Duration
-		for i := 0; i < burst; i++ {
-			if count > 0 && g.Sent+uint64(len(batch)) >= count {
-				break
-			}
-			frame := g.pickFrame()
-			buf := GetBuffer(len(frame))
-			copy(buf, frame)
-			batch = append(batch, buf)
-			wait += g.gap()
-		}
-		accepted := sink(batch)
-		g.Sent += uint64(len(batch))
-		g.Refused += uint64(len(batch) - accepted)
-		g.sim.ScheduleDetached(wait, emit)
 	}
 	g.sim.ScheduleDetached(g.gap(), emit)
 }
