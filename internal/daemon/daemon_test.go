@@ -1,11 +1,15 @@
 package daemon
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"flexsfp/internal/telemetry"
 )
 
 func startTestDaemon(t *testing.T) *Daemon {
@@ -72,5 +76,63 @@ func TestCloseWithoutMetrics(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestSimShardsIsPlacementOnly: SimShards moves the traffic source
+// between shards but must not change what the module sees. Every PPE
+// counter and histogram and every module gauge is identical at any shard
+// count. The sim.* metrics and the ppe.utilization gauge are left out:
+// they read shard 0's own clock and event count, which depend on whether
+// the generator shares shard 0 with the module.
+func TestSimShardsIsPlacementOnly(t *testing.T) {
+	placed := func(shards int) (telemetry.Snapshot, string) {
+		d, err := Start(Config{
+			Listen: "127.0.0.1:0", Name: "placement", DeviceID: 3, App: "nat",
+			Shell: "two-way-core", Telemetry: true, TrafficPPS: 1000,
+			Seed: 11, SimShards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		snap := d.Registry().Snapshot()
+		var keep telemetry.Snapshot
+		for _, c := range snap.Counters {
+			if strings.HasPrefix(c.Name, "ppe.") {
+				keep.Counters = append(keep.Counters, c)
+			}
+		}
+		for _, h := range snap.Histograms {
+			if strings.HasPrefix(h.Name, "ppe.") {
+				keep.Histograms = append(keep.Histograms, h)
+			}
+		}
+		for _, g := range snap.Gauges {
+			if strings.HasPrefix(g.Name, "module.") {
+				keep.Gauges = append(keep.Gauges, g)
+			}
+		}
+		raw, err := json.Marshal(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keep, string(raw)
+	}
+	refSnap, ref := placed(0)
+	if n, _ := refSnap.Counter("ppe.frames_in"); n == 0 {
+		t.Fatalf("no traffic reached the PPE: %s", ref)
+	}
+	if _, ok := refSnap.Histogram("ppe.latency_ns"); !ok {
+		t.Fatalf("ppe.latency_ns missing: %s", ref)
+	}
+	if _, ok := refSnap.Gauge("module.boots"); !ok {
+		t.Fatalf("module gauges missing: %s", ref)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		if _, got := placed(shards); got != ref {
+			t.Fatalf("SimShards=%d changed the module's metrics\nSimShards=0: %s\nSimShards=%d: %s",
+				shards, ref, shards, got)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package paper
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/build"
@@ -68,41 +69,11 @@ func lineRateCases() []lineRateCase {
 	}
 }
 
-// runLineRateCase measures one frame-size point on its own simulator.
-func runLineRateCase(ctx exp.RunContext, tc lineRateCase) (LineRatePoint, error) {
-	sim := build.NewSim(ctx.Seed)
-	mod, _, err := build.Module(sim, build.ModuleSpec{
-		Name: "lr-dut", DeviceID: 1, Shell: hls.TwoWayCore, App: "nat",
-		ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
-		Optimize: ctx.Optimize,
-		Config: apps.NATConfig{Mappings: []apps.NATMapping{
-			{Internal: "10.1.0.1", External: "203.0.113.1"},
-		}},
-	})
-	if err != nil {
-		return LineRatePoint{}, err
-	}
-	// Instrumentation covers the module/PPE counters only: the per-event
-	// simulator histogram (Simulator.AttachTelemetry) costs ~30ns on every
-	// scheduled event, which is ~8% of this sweep's wall time — too hot
-	// for a performance measurement. It stays a daemon-side facility.
-	var reg *telemetry.Registry
-	if ctx.Telemetry {
-		reg = telemetry.New()
-		mod.AttachTelemetry(reg)
-	}
-	meter := netsim.NewRateMeter(sim)
-	mod.SetTx(1, func(b []byte) {
-		meter.Observe(len(b))
-		trafficgen.PutBuffer(b)
-	})
-	mod.SetTx(0, trafficgen.PutBuffer)
-
-	// Offered rate: line rate for the mean frame size of the mix.
-	mean := 64.0
-	if tc.size > 0 {
-		mean = float64(tc.size)
-	} else {
+// pps is the case's offered rate: line rate for the mean frame size of
+// the mix.
+func (tc lineRateCase) pps() float64 {
+	mean := float64(tc.size)
+	if tc.size == 0 {
 		total, weight := 0, 0
 		for _, e := range tc.sizes {
 			total += e.Size * e.Weight
@@ -110,91 +81,59 @@ func runLineRateCase(ctx exp.RunContext, tc lineRateCase) (LineRatePoint, error)
 		}
 		mean = float64(total) / float64(weight)
 	}
-	pps := 10e9 / ((mean + 20) * 8)
-	// Traffic reaches the module through an actual 10G wire: the
-	// link's serialization enforces the physical per-frame spacing a
-	// real tester is bound by (a mean-paced generator would otherwise
-	// burst mixed-size traffic above wire rate).
-	wire := netsim.NewLink(sim, 10_000_000_000, 0, mod.RxEdge)
-	gen := trafficgen.New(sim, trafficgen.Config{
-		PPS: pps, Sizes: tc.sizes, Flows: 32,
-	}, func(b []byte) bool {
-		return wire.Send(b)
-	})
-	gen.Run(0)
-	sim.RunFor(netsim.Millisecond)
-	gen.Stop()
-	sim.RunFor(100 * netsim.Microsecond)
-
-	deliveredPPS := float64(meter.Frames) / netsim.Duration(netsim.Millisecond).Seconds()
-	p := LineRatePoint{
-		Label:        tc.label,
-		FrameSize:    tc.size,
-		OfferedPPS:   float64(gen.Sent) / netsim.Duration(netsim.Millisecond).Seconds(),
-		DeliveredPPS: deliveredPPS,
-		GoodputGbps:  float64(meter.Bytes) * 8 / netsim.Duration(netsim.Millisecond).Seconds() / 1e9,
-		Drops:        mod.Engine().Stats().QueueDrop,
-		LineRate:     mod.Engine().Stats().QueueDrop == 0,
-	}
-	if reg != nil {
-		snap := reg.Snapshot()
-		ct := &CaseTelemetry{}
-		ct.FramesIn, _ = snap.Counter("ppe.frames_in")
-		ct.BytesIn, _ = snap.Counter("ppe.bytes_in")
-		ct.QueueDrops, _ = snap.Counter("ppe.queue_drops")
-		if lat, ok := snap.Histogram("ppe.latency_ns"); ok && lat.Count > 0 {
-			ct.MeanLatencyNs = float64(lat.Sum) / float64(lat.Count)
-			ct.MaxLatencyNs = lat.Max
-		}
-		if qd, ok := snap.Histogram("ppe.queue_depth"); ok {
-			ct.MaxQueueDepth = qd.Max
-		}
-		p.Telemetry = ct
-	}
-	return p, nil
+	return 10e9 / ((mean + 20) * 8)
 }
 
 // LineRateExperiment drives the NAT module at 10G line rate across frame
 // sizes (the §5.1 "simple end-to-end test, which confirmed line-rate
-// performance"). Each case runs on its own simulator with the same seed,
-// so the cases fan out across workers and the sweep matches the old
-// sequential loop exactly.
+// performance").
 func LineRateExperiment(seed int64) (LineRateResult, error) {
 	return lineRateSingle(exp.RunContext{Seed: seed})
 }
 
-func lineRateSingle(ctx exp.RunContext) (LineRateResult, error) {
-	if ctx.Shards > 0 {
-		return lineRateSharded(ctx)
-	}
-	cases := lineRateCases()
-	points, err := runner.Map(len(cases), runner.Options{Seed: ctx.Seed, Parallelism: ctx.Parallelism},
-		func(i int, _ *rand.Rand) (LineRatePoint, error) {
-			return runLineRateCase(ctx, cases[i])
-		})
-	if err != nil {
-		return LineRateResult{}, err
-	}
-	return LineRateResult{Points: points}, nil
-}
-
-// lineRateSharded runs the sweep on the parallel simulation core: the
-// cases are logical partitions placed round-robin over ctx.Shards event
-// heaps and advanced together. The cases never interact, so one
-// conservative window covers the whole run and the shards execute wall-
-// clock-parallel with no barrier traffic.
+// lineRateSingle runs the sweep on the parallel simulation core: every
+// case lives on one shard and all are advanced together. The cases never
+// interact, so one conservative window covers the whole run and the
+// shards execute wall-clock-parallel with no barrier traffic. The shard
+// count is ctx.Shards, or by default the runner's worker rule over the
+// cases, so the sweep fans out across cores as a trial pool would.
 //
-// Determinism follows the Sharded placement-invariance rules: each case's
-// generator draws from its partition stream (never the shard's ambient
-// RNG), and every absolute timestamp in a case's world is the common
-// post-boot epoch plus a shift-invariant offset — link and engine
-// picosecond arithmetic is linear in whole-nanosecond shifts — so the
-// sweep's JSON is byte-identical at any shard count. (It intentionally
-// does not match the legacy Shards=0 path, which seeds each case's
-// private simulator differently; the goldens pin the legacy path.)
-func lineRateSharded(ctx exp.RunContext) (LineRateResult, error) {
+// Placement cannot change the output. Each case's generator draws from
+// its own stream seeded with ctx.Seed alone (never the shard's ambient
+// RNG), which is the stream a private simulator seeded with ctx.Seed
+// would give it. Every absolute timestamp in a case's world is the common
+// post-boot epoch plus a shift-invariant offset, since link and engine
+// picosecond arithmetic is linear in whole-nanosecond shifts. So the
+// sweep's JSON is byte-identical at any shard count.
+func lineRateSingle(ctx exp.RunContext) (LineRateResult, error) {
 	cases := lineRateCases()
-	sh := netsim.NewSharded(ctx.Seed, ctx.Shards)
+	shards := ctx.Shards
+	if shards <= 0 {
+		shards = runner.Workers(ctx.Parallelism, len(cases))
+	}
+	sh := netsim.NewSharded(ctx.Seed, shards)
+
+	// A case costs roughly in proportion to its offered frame rate, so
+	// the cases are placed heaviest first, each on the least-loaded shard.
+	// Round-robin would put twice shard 1's frames on shard 0 at two
+	// shards, and the sweep would wait on shard 0.
+	order := make([]int, len(cases))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cases[order[a]].pps() > cases[order[b]].pps() })
+	home := make([]int, len(cases))
+	load := make([]float64, sh.Shards())
+	for _, i := range order {
+		s := 0
+		for k := range load {
+			if load[k] < load[s] {
+				s = k
+			}
+		}
+		home[i] = s
+		load[s] += cases[i].pps()
+	}
 
 	type caseWorld struct {
 		sim   *netsim.Simulator
@@ -205,59 +144,66 @@ func lineRateSharded(ctx exp.RunContext) (LineRateResult, error) {
 	}
 	worlds := make([]caseWorld, len(cases))
 
-	// Wiring pass: build every case's module on its home shard. Boots
-	// advance shard clocks unevenly (co-located cases boot back to back),
-	// so the measurement epoch is aligned afterwards.
-	for i, tc := range cases {
-		sim := sh.Shard(sh.ShardFor(i))
-		mod, _, err := build.Module(sim, build.ModuleSpec{
-			Name: "lr-dut-" + tc.label, DeviceID: uint32(i + 1),
-			Shell: hls.TwoWayCore, App: "nat",
-			ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
-			Optimize: ctx.Optimize,
-			Config: apps.NATConfig{Mappings: []apps.NATMapping{
-				{Internal: "10.1.0.1", External: "203.0.113.1"},
-			}},
-		})
-		if err != nil {
-			return LineRateResult{}, err
+	// Wiring pass: build every case's module on its home shard, one
+	// worker per shard since a shard's simulator is single-threaded.
+	// Boots advance shard clocks unevenly (co-located cases boot back to
+	// back), so the measurement epoch is aligned afterwards.
+	_, err := runner.Map(sh.Shards(), runner.Options{Parallelism: sh.Shards()}, func(s int, _ *rand.Rand) (struct{}, error) {
+		sim := sh.Shard(s)
+		for i, tc := range cases {
+			if home[i] != s {
+				continue
+			}
+			mod, _, err := build.Module(sim, build.ModuleSpec{
+				Name: "lr-dut-" + tc.label, DeviceID: uint32(i + 1),
+				Shell: hls.TwoWayCore, App: "nat",
+				ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
+				Optimize: ctx.Optimize,
+				Config: apps.NATConfig{Mappings: []apps.NATMapping{
+					{Internal: "10.1.0.1", External: "203.0.113.1"},
+				}},
+			})
+			if err != nil {
+				return struct{}{}, err
+			}
+			w := &worlds[i]
+			w.sim, w.mod = sim, mod
+			// Instrumentation covers the module/PPE counters only: the
+			// per-event simulator histogram (Simulator.AttachTelemetry)
+			// costs ~30ns on every scheduled event, which is ~8% of this
+			// sweep's wall time — too hot for a performance measurement.
+			// It stays a daemon-side facility.
+			if ctx.Telemetry {
+				w.reg = telemetry.New()
+				mod.AttachTelemetry(w.reg)
+			}
+			meter := netsim.NewRateMeter(sim)
+			w.meter = meter
+			mod.SetTx(1, func(b []byte) {
+				meter.Observe(len(b))
+				trafficgen.PutBuffer(b)
+			})
+			mod.SetTx(0, trafficgen.PutBuffer)
 		}
-		w := &worlds[i]
-		w.sim, w.mod = sim, mod
-		if ctx.Telemetry {
-			w.reg = telemetry.New()
-			mod.AttachTelemetry(w.reg)
-		}
-		w.meter = netsim.NewRateMeter(sim)
-		meter := w.meter
-		mod.SetTx(1, func(b []byte) {
-			meter.Observe(len(b))
-			trafficgen.PutBuffer(b)
-		})
-		mod.SetTx(0, trafficgen.PutBuffer)
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return LineRateResult{}, err
 	}
 	epoch := sh.AlignClocks()
 
-	// Measurement pass: identical shape and arithmetic to runLineRateCase,
-	// with all cases sharing the 1 ms window that starts at the epoch.
+	// Measurement pass: all cases share the 1 ms window that starts at
+	// the epoch.
 	for i, tc := range cases {
-		mean := 64.0
-		if tc.size > 0 {
-			mean = float64(tc.size)
-		} else {
-			total, weight := 0, 0
-			for _, e := range tc.sizes {
-				total += e.Size * e.Weight
-				weight += e.Weight
-			}
-			mean = float64(total) / float64(weight)
-		}
-		pps := 10e9 / ((mean + 20) * 8)
 		w := &worlds[i]
+		// Traffic reaches the module through an actual 10G wire: the
+		// link's serialization enforces the physical per-frame spacing a
+		// real tester is bound by (a mean-paced generator would otherwise
+		// burst mixed-size traffic above wire rate).
 		wire := netsim.NewLink(w.sim, 10_000_000_000, 0, w.mod.RxEdge)
 		w.gen = trafficgen.New(w.sim, trafficgen.Config{
-			PPS: pps, Sizes: tc.sizes, Flows: 32,
-			Rand: sh.Stream(i),
+			PPS: tc.pps(), Sizes: tc.sizes, Flows: 32,
+			Rand: rand.New(rand.NewSource(ctx.Seed)),
 		}, func(b []byte) bool {
 			return wire.Send(b)
 		})

@@ -89,12 +89,8 @@ func overlayLineRateCases() []overlayLineRateCase {
 }
 
 func overlayLineRate(ctx exp.RunContext) (OverlayLineRateResult, error) {
-	shards := ctx.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	cases := overlayLineRateCases()
-	sh := netsim.NewSharded(ctx.Seed, shards)
+	sh := netsim.NewSharded(ctx.Seed, ctx.Shards)
 
 	type caseWorld struct {
 		fab        *overlay.Fabric
@@ -285,12 +281,8 @@ const (
 )
 
 func overlayFailover(ctx exp.RunContext) (OverlayFailoverResult, error) {
-	shards := ctx.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	n := failoverCables
-	sh := netsim.NewSharded(ctx.Seed, shards)
+	sh := netsim.NewSharded(ctx.Seed, ctx.Shards)
 
 	// Per-cable receive accounting, written only from that cable's shard
 	// goroutine; the host reads it at window barriers.

@@ -13,8 +13,8 @@
 // exp.Result whose envelope carries headline metrics with 95% CIs and
 // paper-reference deltas next to the full typed detail payload.
 //
-// The exported *Experiment functions keep their historical signatures;
-// the deprecated shims in the root package delegate to them.
+// The exported *Experiment functions keep their historical signatures
+// for callers that want a typed result without the registry.
 package paper
 
 import (
@@ -30,10 +30,3 @@ func fmtCI(s runner.Summary, digits int) string {
 }
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -33,7 +33,7 @@ func (r ReliabilityResult) Render() string {
 	t.Add("Horizon (years)", r.Config.Years)
 	t.Add("Laser failures in horizon", rep.Failures)
 	t.Add("Detected early via DDM", fmt.Sprintf("%d (%.1f%%)", rep.DetectedEarly,
-		100*float64(rep.DetectedEarly)/float64(maxInt(rep.Failures, 1))))
+		100*float64(rep.DetectedEarly)/float64(max(rep.Failures, 1))))
 	t.Add("Sampled MTTF (years)", fmt.Sprintf("%.1f", rep.MTTFYears))
 	t.Add("TTF p10/p90 (years)", fmt.Sprintf("%.1f / %.1f", rep.P10Years, rep.P90Years))
 	t.Add("Std SFP module swaps ($)", fmt.Sprintf("%.0f", rep.StandardSwapCostUSD))
