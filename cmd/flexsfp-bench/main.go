@@ -20,19 +20,20 @@
 //	flexsfp-bench -faults -fault-rate 0.4
 //	flexsfp-bench -clock 312500000 -width 128  # operating-point override
 //	flexsfp-bench -telemetry -run linerate     # instrumented run
-//	flexsfp-bench -shards 4 -run linerate      # parallel simulation core
+//	flexsfp-bench -shards 4 -run overlay_linerate  # parallel simulation core
 //
 // -telemetry opts experiments into in-cable instrumentation: modules run
 // with the metric registry attached and headline counters (frames, mean
 // PPE latency) are folded into the result envelopes. Off by default so
 // canonical outputs stay byte-identical.
 //
-// -shards sets how many event heaps the netsim experiments (linerate,
-// overlay_linerate, overlay_failover) partition their topology over on
-// the conservatively-synchronized parallel simulation core; without it
-// each experiment picks its own count. It is an execution-placement knob
-// — results are byte-identical at any shard count, and it is
-// deliberately absent from the JSON params echo.
+// -shards sets how many event heaps the experiments whose partitions
+// exchange frames (overlay_linerate, overlay_failover) spread their
+// topology over on the conservatively-synchronized parallel simulation
+// core; without it each picks its own count. Every other experiment
+// ignores it. It is an execution-placement knob — results are
+// byte-identical at any shard count, and it is deliberately absent from
+// the JSON params echo.
 //
 // The "faults" chaos experiment is registered opt-in: it only joins
 // wildcard selections ("all", globs) when -faults is given (it can also
@@ -92,7 +93,7 @@ func main() {
 	clockHz := flag.Int64("clock", 0, "PPE clock override in Hz (0 = §5.1 baseline 156.25 MHz)")
 	width := flag.Int("width", 0, "PPE datapath width override in bits (0 = §5.1 baseline 64)")
 	withTelemetry := flag.Bool("telemetry", false, "instrument experiment modules and fold headline counters into results")
-	shards := flag.Int("shards", 0, "partition netsim experiments over N parallel simulation shards (0 = experiment's choice; output is the same)")
+	shards := flag.Int("shards", 0, "partition overlay_linerate and overlay_failover over N parallel simulation shards (0 = experiment's choice; output is the same; other experiments ignore it)")
 	fleetSize := flag.Int("fleet", 0, "simulated module count for the fleet_ota experiment (0 = its default)")
 	fleetShards := flag.Int("fleet-shards", 0, "fleet controller worker shard count for fleet_ota (0 = its default)")
 	optimize := flag.Bool("opt", false, "run the pipeline optimizer over every program experiments build")

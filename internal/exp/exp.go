@@ -55,12 +55,13 @@ type RunContext struct {
 	// canonical envelopes stay byte-identical.
 	Telemetry bool
 	// Shards sets how many event heaps of the parallel simulation core
-	// (netsim.Sharded) the netsim experiments partition their topology
-	// over, advanced under conservative lookahead synchronization. 0
-	// leaves the count to the experiment. Shards is an execution-placement
-	// knob, not a model parameter — results are byte-identical at any
-	// shard count, 0 included, which is why it is deliberately NOT echoed
-	// in Params.
+	// (netsim.Sharded) the experiments whose partitions exchange frames
+	// (overlay_linerate, overlay_failover; all others ignore it) spread
+	// their topology over, advanced under conservative lookahead
+	// synchronization. 0 leaves the count to the experiment. Shards is
+	// an execution-placement knob, not a model parameter — results are
+	// byte-identical at any shard count, 0 included, which is why it is
+	// deliberately NOT echoed in Params.
 	Shards int
 	// FleetSize overrides the simulated module count for fleet-scale
 	// experiments (fleet_ota); 0 keeps the experiment's default. Unlike

@@ -2,7 +2,6 @@ package paper
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"flexsfp/internal/apps"
@@ -10,8 +9,6 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/fpga"
 	"flexsfp/internal/hls"
-	"flexsfp/internal/netsim"
-	"flexsfp/internal/runner"
 	"flexsfp/internal/trafficgen"
 )
 
@@ -67,84 +64,53 @@ func catalogProfile(app string) trafficgen.Profile {
 	return trafficgen.ProfileElephantMice
 }
 
-// runCatalogApp prices one app and drives it for 1 ms at the 10G wire
-// rate of its profile's mean frame size, on a private simulator.
-func runCatalogApp(ctx exp.RunContext, name string) (CatalogAppRow, error) {
-	cfg, err := apps.CanonicalConfig(name)
-	if err != nil {
-		return CatalogAppRow{}, err
-	}
-	row := CatalogAppRow{App: name, Profile: string(catalogProfile(name))}
-
-	// Resource fit: shell + estimated program against the MPF200T.
-	sim := build.NewSim(ctx.Seed)
-	mod, _, err := build.Module(sim, build.ModuleSpec{
-		Name: "cat-" + name, DeviceID: 1, Shell: hls.TwoWayCore, App: name,
-		ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
-		Optimize: ctx.Optimize, Config: cfg,
-	})
-	if err != nil {
-		return CatalogAppRow{}, err
-	}
-	appRes := hls.EstimateProgram(mod.Engine().Program(), build.BaseDatapathBits)
-	used := hls.ShellResources(hls.TwoWayCore).Add(appRes)
-	util := fpga.MPF200T.Utilization(used)
-	row.PipelineDepth = mod.Engine().Program().PipelineDepth(build.BaseDatapathBits)
-	row.LUT4, row.LSRAM, row.USRAM = used.LUT4, used.LSRAM, used.USRAM
-	row.UtilMaxPct = util.Max()
-	row.Fits = util.Max() <= 100
-
-	// Line rate on the matched profile over an actual 10G wire.
-	tmpl, err := trafficgen.ProfileTemplates(catalogProfile(name), 0)
-	if err != nil {
-		return CatalogAppRow{}, err
-	}
-	meter := netsim.NewRateMeter(sim)
-	mod.SetTx(1, func(b []byte) {
-		meter.Observe(len(b))
-		trafficgen.PutBuffer(b)
-	})
-	mod.SetTx(0, trafficgen.PutBuffer)
-
-	total, weight := 0, 0
-	for _, wf := range tmpl {
-		total += len(wf.Frame) * wf.Weight
-		weight += wf.Weight
-	}
-	mean := float64(total) / float64(weight)
-	pps := 10e9 / ((mean + 20) * 8)
-
-	wire := netsim.NewLink(sim, 10_000_000_000, 0, mod.RxEdge)
-	gen := trafficgen.New(sim, trafficgen.Config{PPS: pps, Templates: tmpl},
-		func(b []byte) bool { return wire.Send(b) })
-	gen.Run(0)
-	sim.RunFor(netsim.Millisecond)
-	gen.Stop()
-	sim.RunFor(100 * netsim.Microsecond)
-
-	window := netsim.Duration(netsim.Millisecond).Seconds()
-	row.OfferedPPS = float64(gen.Sent) / window
-	row.DeliveredPPS = float64(meter.Frames) / window
-	row.Drops = mod.Engine().Stats().QueueDrop
-	// The blocking apps drop frames by design; line rate here means the
-	// queue never overflowed, exactly like the §5.1 sweep.
-	row.LineRate = row.Drops == 0
-	return row, nil
-}
-
-// Catalog runs the registry sweep.
+// Catalog runs the registry sweep: every app drives its matched profile
+// through the wire-rate harness, then is priced from the program its
+// module booted.
 func Catalog(ctx exp.RunContext) (CatalogResult, error) {
 	names := apps.NewRegistry().Names()
 	sort.Strings(names)
-	rows, err := runner.Map(len(names), runner.Options{Seed: ctx.Seed, Parallelism: ctx.Parallelism},
-		func(i int, _ *rand.Rand) (CatalogAppRow, error) {
-			return runCatalogApp(ctx, names[i])
-		})
+	drives := make([]wireDrive, len(names))
+	// Apps on one profile share its templates: generators only read them.
+	tmpls := map[trafficgen.Profile][]trafficgen.WeightedFrame{}
+	for i, name := range names {
+		cfg, err := apps.CanonicalConfig(name)
+		if err != nil {
+			return CatalogResult{}, err
+		}
+		prof := catalogProfile(name)
+		if tmpls[prof] == nil {
+			if tmpls[prof], err = trafficgen.ProfileTemplates(prof, 0); err != nil {
+				return CatalogResult{}, err
+			}
+		}
+		drives[i] = wireDrive{
+			Module: build.ModuleSpec{
+				Name: "cat-" + name, DeviceID: 1, Shell: hls.TwoWayCore, App: name,
+				ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
+				Optimize: ctx.Optimize, Config: cfg,
+			},
+			Traffic: trafficgen.Config{Templates: tmpls[prof]},
+		}
+	}
+	runs, err := driveAtWireRate(ctx, drives)
 	if err != nil {
 		return CatalogResult{}, err
 	}
-	res := CatalogResult{Apps: rows, FitsAll: true, NewAppsLineRate: true}
-	for _, r := range rows {
+	res := CatalogResult{Apps: make([]CatalogAppRow, len(names)), FitsAll: true, NewAppsLineRate: true}
+	for i, name := range names {
+		run := runs[i]
+		// Resource fit: shell + estimated program against the MPF200T.
+		used := hls.ShellResources(hls.TwoWayCore).Add(hls.EstimateProgram(&run.Program, build.BaseDatapathBits))
+		util := fpga.MPF200T.Utilization(used).Max()
+		r := CatalogAppRow{App: name, Profile: string(catalogProfile(name)), UtilMaxPct: util, Fits: util <= 100}
+		r.PipelineDepth = run.Program.PipelineDepth(build.BaseDatapathBits)
+		r.LUT4, r.LSRAM, r.USRAM = used.LUT4, used.LSRAM, used.USRAM
+		r.OfferedPPS, r.DeliveredPPS, r.Drops = run.OfferedPPS, run.DeliveredPPS, run.Drops
+		// The blocking apps drop frames by design; line rate here means
+		// the queue never overflowed, exactly like the §5.1 sweep.
+		r.LineRate = r.Drops == 0
+		res.Apps[i] = r
 		if !r.Fits {
 			res.FitsAll = false
 		}

@@ -44,24 +44,3 @@ func TestCatalogGates(t *testing.T) {
 		}
 	}
 }
-
-// Same seed, same sweep: the catalog result must be deterministic so the
-// smoke gate can grep stable values.
-func TestCatalogDeterministic(t *testing.T) {
-	a, err := Catalog(exp.RunContext{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Catalog(exp.RunContext{Seed: 7, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Apps) != len(b.Apps) {
-		t.Fatalf("app count differs: %d vs %d", len(a.Apps), len(b.Apps))
-	}
-	for i := range a.Apps {
-		if a.Apps[i] != b.Apps[i] {
-			t.Errorf("%s: results differ across parallelism:\n%+v\n%+v", a.Apps[i].App, a.Apps[i], b.Apps[i])
-		}
-	}
-}

@@ -3,14 +3,13 @@ package paper
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/build"
-	"flexsfp/internal/core"
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/ppe"
 	"flexsfp/internal/runner"
 	"flexsfp/internal/telemetry"
 	"flexsfp/internal/trafficgen"
@@ -27,7 +26,7 @@ type LineRatePoint struct {
 	DeliveredPPS float64
 	GoodputGbps  float64
 	Drops        uint64
-	LineRate     bool // delivered ≥ 99.5% of offered
+	LineRate     bool // no PPE queue overflow (Drops == 0)
 	// Telemetry carries the headline in-cable counters when the run was
 	// instrumented (RunContext.Telemetry); nil — and omitted from JSON —
 	// otherwise, so canonical envelopes are unchanged by default.
@@ -58,103 +57,27 @@ type lineRateCase struct {
 }
 
 func lineRateCases() []lineRateCase {
-	return []lineRateCase{
-		{"64B", []trafficgen.IMIXEntry{{Size: 64, Weight: 1}}, 64},
-		{"128B", []trafficgen.IMIXEntry{{Size: 128, Weight: 1}}, 128},
-		{"256B", []trafficgen.IMIXEntry{{Size: 256, Weight: 1}}, 256},
-		{"512B", []trafficgen.IMIXEntry{{Size: 512, Weight: 1}}, 512},
-		{"1024B", []trafficgen.IMIXEntry{{Size: 1024, Weight: 1}}, 1024},
-		{"1518B", []trafficgen.IMIXEntry{{Size: 1518, Weight: 1}}, 1518},
-		{"IMIX", trafficgen.SimpleIMIX(), 0},
+	var cases []lineRateCase
+	for _, n := range []int{64, 128, 256, 512, 1024, 1518} {
+		cases = append(cases, lineRateCase{fmt.Sprintf("%dB", n), []trafficgen.IMIXEntry{{Size: n, Weight: 1}}, n})
 	}
-}
-
-// pps is the case's offered rate: line rate for the mean frame size of
-// the mix.
-func (tc lineRateCase) pps() float64 {
-	mean := float64(tc.size)
-	if tc.size == 0 {
-		total, weight := 0, 0
-		for _, e := range tc.sizes {
-			total += e.Size * e.Weight
-			weight += e.Weight
-		}
-		mean = float64(total) / float64(weight)
-	}
-	return 10e9 / ((mean + 20) * 8)
+	return append(cases, lineRateCase{"IMIX", trafficgen.SimpleIMIX(), 0})
 }
 
 // LineRateExperiment drives the NAT module at 10G line rate across frame
 // sizes (the §5.1 "simple end-to-end test, which confirmed line-rate
-// performance").
+// performance"), one wire-rate drive (driveAtWireRate) per frame size.
 func LineRateExperiment(seed int64) (LineRateResult, error) {
 	return lineRateSingle(exp.RunContext{Seed: seed})
 }
 
-// lineRateSingle runs the sweep on the parallel simulation core: every
-// case lives on one shard and all are advanced together. The cases never
-// interact, so one conservative window covers the whole run and the
-// shards execute wall-clock-parallel with no barrier traffic. The shard
-// count is ctx.Shards, or by default the runner's worker rule over the
-// cases, so the sweep fans out across cores as a trial pool would.
-//
-// Placement cannot change the output. Each case's generator draws from
-// its own stream seeded with ctx.Seed alone (never the shard's ambient
-// RNG), which is the stream a private simulator seeded with ctx.Seed
-// would give it. Every absolute timestamp in a case's world is the common
-// post-boot epoch plus a shift-invariant offset, since link and engine
-// picosecond arithmetic is linear in whole-nanosecond shifts. So the
-// sweep's JSON is byte-identical at any shard count.
+// lineRateSingle runs the sweep: one wire-rate drive per frame size.
 func lineRateSingle(ctx exp.RunContext) (LineRateResult, error) {
 	cases := lineRateCases()
-	shards := ctx.Shards
-	if shards <= 0 {
-		shards = runner.Workers(ctx.Parallelism, len(cases))
-	}
-	sh := netsim.NewSharded(ctx.Seed, shards)
-
-	// A case costs roughly in proportion to its offered frame rate, so
-	// the cases are placed heaviest first, each on the least-loaded shard.
-	// Round-robin would put twice shard 1's frames on shard 0 at two
-	// shards, and the sweep would wait on shard 0.
-	order := make([]int, len(cases))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cases[order[a]].pps() > cases[order[b]].pps() })
-	home := make([]int, len(cases))
-	load := make([]float64, sh.Shards())
-	for _, i := range order {
-		s := 0
-		for k := range load {
-			if load[k] < load[s] {
-				s = k
-			}
-		}
-		home[i] = s
-		load[s] += cases[i].pps()
-	}
-
-	type caseWorld struct {
-		sim   *netsim.Simulator
-		mod   *core.Module
-		meter *netsim.RateMeter
-		gen   *trafficgen.Generator
-		reg   *telemetry.Registry
-	}
-	worlds := make([]caseWorld, len(cases))
-
-	// Wiring pass: build every case's module on its home shard, one
-	// worker per shard since a shard's simulator is single-threaded.
-	// Boots advance shard clocks unevenly (co-located cases boot back to
-	// back), so the measurement epoch is aligned afterwards.
-	_, err := runner.Map(sh.Shards(), runner.Options{Parallelism: sh.Shards()}, func(s int, _ *rand.Rand) (struct{}, error) {
-		sim := sh.Shard(s)
-		for i, tc := range cases {
-			if home[i] != s {
-				continue
-			}
-			mod, _, err := build.Module(sim, build.ModuleSpec{
+	drives := make([]wireDrive, len(cases))
+	for i, tc := range cases {
+		drives[i] = wireDrive{
+			Module: build.ModuleSpec{
 				Name: "lr-dut-" + tc.label, DeviceID: uint32(i + 1),
 				Shell: hls.TwoWayCore, App: "nat",
 				ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
@@ -162,89 +85,134 @@ func lineRateSingle(ctx exp.RunContext) (LineRateResult, error) {
 				Config: apps.NATConfig{Mappings: []apps.NATMapping{
 					{Internal: "10.1.0.1", External: "203.0.113.1"},
 				}},
-			})
+			},
+			Traffic: trafficgen.Config{Sizes: tc.sizes, Flows: 32},
+		}
+	}
+	runs, err := driveAtWireRate(ctx, drives)
+	if err != nil {
+		return LineRateResult{}, err
+	}
+	res := LineRateResult{Points: make([]LineRatePoint, len(cases))}
+	for i, tc := range cases {
+		r := runs[i]
+		res.Points[i] = LineRatePoint{
+			Label:        tc.label,
+			FrameSize:    tc.size,
+			OfferedPPS:   r.OfferedPPS,
+			DeliveredPPS: r.DeliveredPPS,
+			GoodputGbps:  r.GoodputGbps,
+			Drops:        r.Drops,
+			LineRate:     r.Drops == 0,
+			Telemetry:    r.Telemetry,
+		}
+	}
+	return res, nil
+}
+
+// wireDrive is one independent case of a wire-rate measurement: the
+// module under test and the stream offered to it. Traffic.PPS is set by
+// the harness.
+type wireDrive struct {
+	Module  build.ModuleSpec
+	Traffic trafficgen.Config
+}
+
+// wireRun is what one drive measured over the 1 ms window.
+type wireRun struct {
+	// Program is the structure of the program the module booted, with
+	// its Handler dropped: a finished run keeps no table state alive.
+	Program ppe.Program
+	// ServiceCycles is the engine's per-frame occupancy at the stream's
+	// mean frame size (rounded down).
+	ServiceCycles int64
+	OfferedPPS    float64
+	DeliveredPPS  float64
+	GoodputGbps   float64
+	Drops         uint64 // PPE queue overflows
+	// Telemetry is the module's headline counter set when ctx.Telemetry
+	// is on, nil otherwise.
+	Telemetry *CaseTelemetry
+}
+
+// driveAtWireRate is the one wire-rate measurement path. Each drive
+// builds its module on a private simulator seeded with ctx.Seed, puts a
+// 10G wire in front of it, meters the optical port, offers its stream at
+// the wire rate of the stream's mean frame size for 1 ms and drains for
+// 100 µs. Traffic reaches the module through the wire because the link's
+// serialization enforces the per-frame spacing a real tester is bound by
+// (a mean-paced generator would burst mixed-size traffic above wire
+// rate). The drives never exchange a frame, so they need no lookahead
+// and run on the runner's pool; a drive's result depends on its seed
+// alone, whatever the parallelism.
+func driveAtWireRate(ctx exp.RunContext, drives []wireDrive) ([]wireRun, error) {
+	return runner.Map(len(drives), runner.Options{Seed: ctx.Seed, Parallelism: ctx.Parallelism},
+		func(i int, _ *rand.Rand) (wireRun, error) {
+			d := drives[i]
+			sim := build.NewSim(ctx.Seed)
+			mod, _, err := build.Module(sim, d.Module)
 			if err != nil {
-				return struct{}{}, err
+				return wireRun{}, err
 			}
-			w := &worlds[i]
-			w.sim, w.mod = sim, mod
 			// Instrumentation covers the module/PPE counters only: the
 			// per-event simulator histogram (Simulator.AttachTelemetry)
-			// costs ~30ns on every scheduled event, which is ~8% of this
-			// sweep's wall time — too hot for a performance measurement.
-			// It stays a daemon-side facility.
+			// costs ~30ns on every scheduled event, too hot for a
+			// performance measurement. It stays a daemon-side facility.
+			var reg *telemetry.Registry
 			if ctx.Telemetry {
-				w.reg = telemetry.New()
-				mod.AttachTelemetry(w.reg)
+				reg = telemetry.New()
+				mod.AttachTelemetry(reg)
 			}
 			meter := netsim.NewRateMeter(sim)
-			w.meter = meter
 			mod.SetTx(1, func(b []byte) {
 				meter.Observe(len(b))
 				trafficgen.PutBuffer(b)
 			})
 			mod.SetTx(0, trafficgen.PutBuffer)
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return LineRateResult{}, err
-	}
-	epoch := sh.AlignClocks()
 
-	// Measurement pass: all cases share the 1 ms window that starts at
-	// the epoch.
-	for i, tc := range cases {
-		w := &worlds[i]
-		// Traffic reaches the module through an actual 10G wire: the
-		// link's serialization enforces the physical per-frame spacing a
-		// real tester is bound by (a mean-paced generator would otherwise
-		// burst mixed-size traffic above wire rate).
-		wire := netsim.NewLink(w.sim, 10_000_000_000, 0, w.mod.RxEdge)
-		w.gen = trafficgen.New(w.sim, trafficgen.Config{
-			PPS: tc.pps(), Sizes: tc.sizes, Flows: 32,
-			Rand: rand.New(rand.NewSource(ctx.Seed)),
-		}, func(b []byte) bool {
-			return wire.Send(b)
+			wire := netsim.NewLink(sim, 10_000_000_000, 0, mod.RxEdge)
+			cfg := d.Traffic
+			cfg.PPS = 10e9 / ((cfg.MeanFrameSize() + 20) * 8)
+			gen := trafficgen.New(sim, cfg, func(b []byte) bool { return wire.Send(b) })
+			gen.Run(0)
+			sim.RunFor(netsim.Millisecond)
+			gen.Stop()
+			sim.RunFor(100 * netsim.Microsecond)
+
+			prog := *mod.Engine().Program()
+			prog.Handler = nil
+			window := netsim.Duration(netsim.Millisecond).Seconds()
+			return wireRun{
+				Program:       prog,
+				ServiceCycles: mod.Engine().ServiceCycles(int(cfg.MeanFrameSize())),
+				OfferedPPS:    float64(gen.Sent) / window,
+				DeliveredPPS:  float64(meter.Frames) / window,
+				GoodputGbps:   float64(meter.Bytes) * 8 / window / 1e9,
+				Drops:         mod.Engine().Stats().QueueDrop,
+				Telemetry:     caseTelemetry(reg),
+			}, nil
 		})
-		w.gen.Run(0)
-	}
-	sh.RunUntil(epoch.Add(netsim.Millisecond))
-	for i := range worlds {
-		worlds[i].gen.Stop()
-	}
-	sh.RunUntil(epoch.Add(netsim.Millisecond + 100*netsim.Microsecond))
+}
 
-	res := LineRateResult{Points: make([]LineRatePoint, len(cases))}
-	for i, tc := range cases {
-		w := &worlds[i]
-		p := LineRatePoint{
-			Label:        tc.label,
-			FrameSize:    tc.size,
-			OfferedPPS:   float64(w.gen.Sent) / netsim.Duration(netsim.Millisecond).Seconds(),
-			DeliveredPPS: float64(w.meter.Frames) / netsim.Duration(netsim.Millisecond).Seconds(),
-			GoodputGbps:  float64(w.meter.Bytes) * 8 / netsim.Duration(netsim.Millisecond).Seconds() / 1e9,
-			Drops:        w.mod.Engine().Stats().QueueDrop,
-			LineRate:     w.mod.Engine().Stats().QueueDrop == 0,
-		}
-		if w.reg != nil {
-			snap := w.reg.Snapshot()
-			ct := &CaseTelemetry{}
-			ct.FramesIn, _ = snap.Counter("ppe.frames_in")
-			ct.BytesIn, _ = snap.Counter("ppe.bytes_in")
-			ct.QueueDrops, _ = snap.Counter("ppe.queue_drops")
-			if lat, ok := snap.Histogram("ppe.latency_ns"); ok && lat.Count > 0 {
-				ct.MeanLatencyNs = float64(lat.Sum) / float64(lat.Count)
-				ct.MaxLatencyNs = lat.Max
-			}
-			if qd, ok := snap.Histogram("ppe.queue_depth"); ok {
-				ct.MaxQueueDepth = qd.Max
-			}
-			p.Telemetry = ct
-		}
-		res.Points[i] = p
+// caseTelemetry folds the headline counters out of a case's registry;
+// nil when the case was not instrumented.
+func caseTelemetry(reg *telemetry.Registry) *CaseTelemetry {
+	if reg == nil {
+		return nil
 	}
-	return res, nil
+	snap := reg.Snapshot()
+	ct := &CaseTelemetry{}
+	ct.FramesIn, _ = snap.Counter("ppe.frames_in")
+	ct.BytesIn, _ = snap.Counter("ppe.bytes_in")
+	ct.QueueDrops, _ = snap.Counter("ppe.queue_drops")
+	if lat, ok := snap.Histogram("ppe.latency_ns"); ok && lat.Count > 0 {
+		ct.MeanLatencyNs = float64(lat.Sum) / float64(lat.Count)
+		ct.MaxLatencyNs = lat.Max
+	}
+	if qd, ok := snap.Histogram("ppe.queue_depth"); ok {
+		ct.MaxQueueDepth = qd.Max
+	}
+	return ct
 }
 
 // Render formats the sweep.
@@ -290,10 +258,9 @@ func LineRateExperimentTrials(rootSeed int64, trials, parallelism int) (LineRate
 
 func lineRateTrials(ctx exp.RunContext) (LineRateTrialsResult, error) {
 	tr, err := exp.RunTrials(ctx, func(_ int, seed int64) (LineRateResult, error) {
-		return lineRateSingle(exp.RunContext{
-			Seed: seed, ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
-			Telemetry: ctx.Telemetry, Shards: ctx.Shards, Optimize: ctx.Optimize,
-		})
+		trial := ctx
+		trial.Seed = seed
+		return lineRateSingle(trial)
 	})
 	if err != nil {
 		return LineRateTrialsResult{}, err

@@ -3,7 +3,8 @@ package paper
 // The overlay mesh correctness wall: golden-pinned envelopes for both
 // registry experiments (byte-for-byte, any shard count — shard
 // invariance itself is pinned in shards_test.go) and the chaos
-// invariants of the failover run across seeds.
+// invariants of the failover run across seeds. The same golden table
+// also pins catalog and pipeline_opt, which no other golden covers.
 
 import (
 	"encoding/json"
@@ -18,10 +19,11 @@ import (
 var updateOverlay = flag.Bool("update-overlay", false, "rewrite the overlay golden envelopes")
 
 // TestOverlayGoldenEnvelopes pins the exact JSON envelope of both
-// overlay experiments at the reference seed. Regenerate intentionally
-// with: go test ./internal/exp/paper -run TestOverlayGoldenEnvelopes -update-overlay
+// overlay experiments, and of the two other wire-rate experiments
+// (catalog, pipeline_opt), at the reference seed. Regenerate
+// intentionally with: go test ./internal/exp/paper -run TestOverlayGoldenEnvelopes -update-overlay
 func TestOverlayGoldenEnvelopes(t *testing.T) {
-	for _, name := range []string{"overlay_linerate", "overlay_failover"} {
+	for _, name := range []string{"overlay_linerate", "overlay_failover", "catalog", "pipeline_opt"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

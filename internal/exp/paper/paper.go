@@ -13,6 +13,11 @@
 // exp.Result whose envelope carries headline metrics with 95% CIs and
 // paper-reference deltas next to the full typed detail payload.
 //
+// linerate, catalog and pipeline_opt measure through one wire-rate
+// harness (driveAtWireRate): one simulator per independent case. Only
+// the overlay fabrics, whose partitions exchange frames, run on
+// netsim.Sharded and honour RunContext.Shards.
+//
 // The exported *Experiment functions keep their historical signatures
 // for callers that want a typed result without the registry.
 package paper

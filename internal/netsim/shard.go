@@ -217,31 +217,13 @@ func (s *Sharded) run(limit Time, bounded bool) {
 
 	var (
 		work []chan Time
-		wg   sync.WaitGroup
+		wg   *sync.WaitGroup
 	)
-	if n > 1 {
-		// Per-call worker goroutines: each owns one shard for the whole
-		// Run invocation and executes the windows the coordinator hands
-		// it. The WaitGroup barrier gives the happens-before edges that
-		// make barrier-phase access to shard heaps and portal free lists
-		// safe.
-		work = make([]chan Time, n)
-		for i := range work {
-			work[i] = make(chan Time, 1)
-			go func(sim *Simulator, ch <-chan Time) {
-				for end := range ch {
-					sim.runBefore(end)
-					wg.Done()
-				}
-			}(s.shards[i], work[i])
+	defer func() {
+		for _, ch := range work {
+			close(ch)
 		}
-		defer func() {
-			for i := range work {
-				close(work[i])
-			}
-		}()
-	}
-
+	}()
 	for {
 		// Drain first: messages queued at wiring time (or by the previous
 		// window) become heap events before the global minimum is taken,
@@ -258,15 +240,35 @@ func (s *Sharded) run(limit Time, bounded bool) {
 		if bounded && end > limit+1 {
 			end = limit + 1 // RunUntil is inclusive: fire events at == limit
 		}
-		if n > 1 {
-			wg.Add(n)
-			for i := range work {
-				work[i] <- end
-			}
-			wg.Wait()
-		} else {
+		if n == 1 {
 			s.shards[0].runBefore(end)
+			continue
 		}
+		if work == nil {
+			// Per-call worker goroutines, started with the first window so
+			// a Run with nothing pending (flexsfpd calls Run after every
+			// mgmt RPC) spawns none: each owns one shard for the rest of
+			// the Run invocation and executes the windows the coordinator
+			// hands it. The WaitGroup barrier gives the happens-before
+			// edges that make barrier-phase access to shard heaps and
+			// portal free lists safe. wg is passed, not captured, so the
+			// empty path allocates nothing.
+			work, wg = make([]chan Time, n), new(sync.WaitGroup)
+			for i := range work {
+				work[i] = make(chan Time, 1)
+				go func(sim *Simulator, ch <-chan Time, wg *sync.WaitGroup) {
+					for end := range ch {
+						sim.runBefore(end)
+						wg.Done()
+					}
+				}(s.shards[i], work[i], wg)
+			}
+		}
+		wg.Add(n)
+		for _, ch := range work {
+			ch <- end
+		}
+		wg.Wait()
 	}
 	if bounded {
 		for _, sim := range s.shards {

@@ -308,3 +308,18 @@ func TestShardedRunZeroAlloc(t *testing.T) {
 		t.Fatalf("sharded run allocates %v per %d-hop run, want ≤ 64", n, perRun)
 	}
 }
+
+// TestShardedEmptyRunAllocs: a Run with nothing pending returns before
+// any worker starts, so on 4 shards it allocates no more than on one
+// (the daemon calls Run after every management RPC).
+func TestShardedEmptyRunAllocs(t *testing.T) {
+	emptyRunAllocs := func(shards int) float64 {
+		sh := NewSharded(1, shards)
+		sh.Connect(0, shards-1, 20, func([]byte) {})
+		return testing.AllocsPerRun(100, sh.Run)
+	}
+	one, four := emptyRunAllocs(1), emptyRunAllocs(4)
+	if four > one {
+		t.Fatalf("empty Run allocates %v on 4 shards, %v on 1; want no more on 4", four, one)
+	}
+}

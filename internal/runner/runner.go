@@ -34,10 +34,10 @@ type Options struct {
 	Context context.Context
 }
 
-// Workers is the pool size Map uses for n jobs: parallelism, or
-// GOMAXPROCS when it is zero or negative, clamped to [1, n].
-func Workers(parallelism, n int) int {
-	p := parallelism
+// workers is the pool size for n jobs: Parallelism, or GOMAXPROCS when
+// it is zero or negative, clamped to [1, n].
+func (o Options) workers(n int) int {
+	p := o.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
@@ -114,7 +114,7 @@ func Map[T any](n int, opts Options, fn func(trial int, rng *rand.Rand) (T, erro
 		return i > errTrial
 	}
 
-	workers := Workers(opts.Parallelism, n)
+	workers := opts.workers(n)
 	if workers == 1 {
 		// Fast path: no goroutines, no channel — identical semantics.
 		for i := 0; i < n; i++ {

@@ -286,21 +286,25 @@ func (g *Generator) SetTracer(tr *telemetry.Tracer) { g.tracer = tr }
 // Stop halts emission after the current event.
 func (g *Generator) Stop() { g.stopped = true }
 
-// MeanFrameSize returns the weighted mean of the size mix (or of the
-// template set in template mode).
-func (g *Generator) MeanFrameSize() float64 {
-	if len(g.cfg.Templates) > 0 {
-		total, weight := 0, 0
-		for _, wf := range g.cfg.Templates {
-			total += len(wf.Frame) * wf.Weight
-			weight += wf.Weight
-		}
-		return float64(total) / float64(weight)
-	}
+// MeanFrameSize returns the weighted mean frame size of the stream: of
+// the template set in template mode, else of the size mix (New's 64-byte
+// default when the mix is empty).
+func (c Config) MeanFrameSize() float64 {
 	total, weight := 0, 0
-	for _, e := range g.cfg.Sizes {
-		total += e.Size * e.Weight
-		weight += e.Weight
+	for _, wf := range c.Templates {
+		total, weight = total+len(wf.Frame)*wf.Weight, weight+wf.Weight
+	}
+	if len(c.Templates) == 0 {
+		for _, e := range c.Sizes {
+			total, weight = total+e.Size*e.Weight, weight+e.Weight
+		}
+	}
+	if weight == 0 {
+		return 64
 	}
 	return float64(total) / float64(weight)
 }
+
+// MeanFrameSize returns the weighted mean frame size of the generated
+// stream.
+func (g *Generator) MeanFrameSize() float64 { return g.cfg.MeanFrameSize() }

@@ -73,6 +73,33 @@ func TestIMIXDistribution(t *testing.T) {
 	}
 }
 
+// TestConfigMeanFrameSize: the mean a config offers is the template
+// mean in template mode, else the size-mix mean, and New's 64-byte
+// default for an empty config; a generator reports its config's.
+func TestConfigMeanFrameSize(t *testing.T) {
+	imix := Config{Sizes: SimpleIMIX()}
+	tmpl := Config{Sizes: SimpleIMIX(), Templates: []WeightedFrame{
+		{Frame: make([]byte, 60), Weight: 3}, {Frame: make([]byte, 100), Weight: 1},
+	}}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want float64
+	}{
+		{"imix", imix, float64(64*7+594*4+1518) / 12},
+		{"templates", tmpl, 70},
+		{"empty", Config{}, 64},
+	} {
+		if got := c.cfg.MeanFrameSize(); got != c.want {
+			t.Errorf("%s: MeanFrameSize = %v, want %v", c.name, got, c.want)
+		}
+	}
+	imix.PPS = 1e6
+	if g := New(netsim.New(1), imix, func([]byte) bool { return true }); g.MeanFrameSize() != imix.MeanFrameSize() {
+		t.Errorf("generator mean %v != config mean %v", g.MeanFrameSize(), imix.MeanFrameSize())
+	}
+}
+
 func TestFlowsAreDistinctAndDecodable(t *testing.T) {
 	sim := netsim.New(3)
 	ports := map[uint16]bool{}

@@ -218,7 +218,7 @@ func (p *Program) Run(pkt []byte) (action int, err error) {
 		case OpRsh:
 			r[in.Dst] >>= operand() & 63
 		case OpLdB, OpLdH, OpLdW:
-			size := map[Op]int{OpLdB: 1, OpLdH: 2, OpLdW: 4}[in.Op]
+			size := 1 << (in.Op - OpLdB) // ldb, ldh, ldw: 1, 2, 4 bytes
 			at := int64(r[in.Src]) + int64(in.Off)
 			if at < 0 || at+int64(size) > int64(len(pkt)) {
 				return ActAborted, fmt.Errorf("%w: load %d at %d (len %d)", ErrOutOfBounds, size, at, len(pkt))
@@ -229,7 +229,7 @@ func (p *Program) Run(pkt []byte) (action int, err error) {
 			}
 			r[in.Dst] = v
 		case OpStB, OpStH, OpStW:
-			size := map[Op]int{OpStB: 1, OpStH: 2, OpStW: 4}[in.Op]
+			size := 1 << (in.Op - OpStB) // stb, sth, stw: 1, 2, 4 bytes
 			at := int64(r[in.Dst]) + int64(in.Off)
 			if at < 0 || at+int64(size) > int64(len(pkt)) {
 				return ActAborted, fmt.Errorf("%w: store %d at %d (len %d)", ErrOutOfBounds, size, at, len(pkt))
